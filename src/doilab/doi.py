@@ -13,13 +13,13 @@ K_A, K_B, nu(A), nu(B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .norms import EXACT, SearchConfig, check_exponent, opnorm
+from .norms import SearchConfig, check_exponent, opnorm
 from .schur import (
     abs_divided_difference,
     divided_difference_matrix,
@@ -27,7 +27,6 @@ from .schur import (
     sequence_truncation,
 )
 from .spectral import (
-    ConstantEstimate,
     DiagonalizableOperator,
     assemble,
     diagonalizability_constant,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,43 +58,70 @@ class ExperimentConfig:
             raise ConfigError("dims must be nonempty")
         if not 0.0 < self.eps <= 1.0:
             raise ConfigError("eps must lie in (0, 1]")
+        if not self.tol > 0.0:
+            raise ConfigError("tol must be > 0")
 
 
 def _parse_exponent(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return INF
+    if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+        return INF
+    try:
         v = float(v)
-    v = float(v)
-    if v < 1.0:
-        raise ConfigError(f"exponent {v} < 1")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"exponent {v!r} is not a number") from exc
+    if not v >= 1.0:  # also rejects nan
+        raise ConfigError(f"exponent {v} outside [1, inf]")
     return v
+
+
+def _parse_int(v, key: str, minimum: int | None = None) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or (minimum is not None and v < minimum):
+        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ConfigError(f"{key} must be {kind}, got {v!r}")
+    return v
+
+
+def _parse_float(v, key: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _check_keys(d, known: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(d) - known
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {"seed", "dims", "pq_pairs", "trials", "eps", "tol", "search", "output_path"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(d, {"seed", "dims", "pq_pairs", "trials", "eps", "tol", "search", "output_path"}, "config")
     if "seed" in d:
-        cfg.seed = int(d["seed"])
+        cfg.seed = _parse_int(d["seed"], "seed")
     if "dims" in d:
-        cfg.dims = [int(n) for n in d["dims"]]
+        if not isinstance(d["dims"], list):
+            raise ConfigError("dims must be a list of dimensions")
+        cfg.dims = [_parse_int(n, "dims entry", 1) for n in d["dims"]]
     if "pq_pairs" in d:
-        cfg.pq_pairs = [(_parse_exponent(a), _parse_exponent(b)) for a, b in d["pq_pairs"]]
+        pairs = d["pq_pairs"]
+        if not isinstance(pairs, list) or not all(isinstance(pq, list) and len(pq) == 2 for pq in pairs):
+            raise ConfigError("pq_pairs must be a list of [p, q] pairs")
+        cfg.pq_pairs = [(_parse_exponent(a), _parse_exponent(b)) for a, b in pairs]
     if "trials" in d:
-        cfg.trials = int(d["trials"])
+        cfg.trials = _parse_int(d["trials"], "trials")
     if "eps" in d:
-        cfg.eps = float(d["eps"])
+        cfg.eps = _parse_float(d["eps"], "eps")
     if "tol" in d:
-        cfg.tol = float(d["tol"])
+        cfg.tol = _parse_float(d["tol"], "tol")
     if "search" in d:
         s = d["search"]
+        _check_keys(s, {"restarts", "max_iter", "iter_tol"}, "search")
         cfg.search = SearchConfig(
-            multistarts=int(s.get("restarts", 8)),
-            max_iter=int(s.get("max_iter", 300)),
-            tol=float(s.get("iter_tol", 1e-10)),
+            multistarts=_parse_int(s.get("restarts", 8), "search.restarts", 1),
+            max_iter=_parse_int(s.get("max_iter", 300), "search.max_iter", 1),
+            tol=_parse_float(s.get("iter_tol", 1e-10), "search.iter_tol"),
         )
     if "output_path" in d:
         cfg.output_path = str(d["output_path"])
@@ -204,7 +231,7 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
 # --------------------------------------------------------------- commutators
 
 
-def _sample_controlled_operator(rng, n, p, search, k_cap=K_TARGET, attempts=60):
+def _sample_controlled_operator(rng, n, p, k_cap=K_TARGET, attempts=60):
     """lambda uniform on [-1, 1]; U = I + delta G rejection-sampled (via
     the interpolation upper bound) so that the diagonalizability constant
     is at most k_cap."""
@@ -261,8 +288,8 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
                 seed_used = _trial_seed(cfg.seed, label, p, q, n, trial)
                 rng = _rng(seed_used)
                 search = _search(cfg, seed_used)
-                a = _sample_controlled_operator(rng, n, p, search)
-                b = _sample_controlled_operator(rng, n, q, search)
+                a = _sample_controlled_operator(rng, n, p)
+                b = _sample_controlled_operator(rng, n, q)
                 if a is None or b is None:
                     rows.append(
                         ResultRow(label, n, p, q, trial, "rejection_exhausted", 1.0, "flagged", seed_used)
@@ -354,8 +381,8 @@ def run_psumming_check(cfg: ExperimentConfig) -> list:
                 seed_used = _trial_seed(cfg.seed, label, p, p, n, trial)
                 rng = _rng(seed_used)
                 search = _search(cfg, seed_used)
-                a = _sample_controlled_operator(rng, n, ctx.pstar, search)
-                b = _sample_controlled_operator(rng, n, ctx.p, search)
+                a = _sample_controlled_operator(rng, n, ctx.pstar)
+                b = _sample_controlled_operator(rng, n, ctx.p)
                 if a is None or b is None:
                     rows.append(
                         ResultRow(label, n, p, p, trial, "rejection_exhausted", 1.0, "flagged", seed_used)

@@ -10,7 +10,7 @@ by multistart alternating maximization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,23 +316,29 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
     return NormEstimate(float(vals[i]), LOWER_BOUND, X[i].astype(complex), "bruteforce:grid")
 
 
+def riesz_thorin(n1: float, n2: float | None, ninf: float, p: float) -> float:
+    """Riesz-Thorin bound on an l_p -> l_p norm from bounds n1, n2, ninf
+    on the norms at p = 1, 2, inf (n2 is not read at p in {1, inf})."""
+    if p == 1.0:
+        return n1
+    if p == INF:
+        return ninf
+    if p == 2.0:
+        return n2
+    if p < 2.0:
+        theta = 2.0 / p - 1.0  # 1/p = theta/1 + (1-theta)/2
+        return n1**theta * n2 ** (1.0 - theta)
+    theta = 2.0 / p  # 1/p = theta/2
+    return n2**theta * ninf ** (1.0 - theta)
+
+
 def opnorm_upper(S, p) -> float:
     """Upper bound on the l_p -> l_p norm: exact at p in {1, 2, inf},
     Riesz-Thorin interpolation between those anchors otherwise."""
     p = check_exponent(p)
     S = np.asarray(S, dtype=complex)
     a = np.abs(S)
-    if p == 1.0:
-        return float(a.sum(axis=0).max())
-    if p == INF:
-        return float(a.sum(axis=1).max())
-    n2 = float(np.linalg.svd(S, compute_uv=False)[0])
-    if p == 2.0:
-        return n2
-    if p < 2.0:
-        theta = 2.0 / p - 1.0  # 1/p = theta/1 + (1-theta)/2
-        n1 = float(a.sum(axis=0).max())
-        return n1**theta * n2 ** (1.0 - theta)
-    theta = 2.0 / p  # 1/p = theta/2
+    n1 = float(a.sum(axis=0).max())
     ninf = float(a.sum(axis=1).max())
-    return n2**theta * ninf ** (1.0 - theta)
+    n2 = float(np.linalg.svd(S, compute_uv=False)[0]) if 1.0 < p < INF else None
+    return riesz_thorin(n1, n2, ninf, p)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import INF, SearchConfig, check_exponent, conjugate_exponent, opnorm, vector_norm
+from .schur import divided_difference_matrix
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 
 
@@ -63,13 +64,7 @@ def sampled_lipschitz_floor(f, a: DiagonalizableOperator, b: DiagonalizableOpera
     """Max modulus of divided differences over all pairs of eigenvalues
     of A and B; a floor for any admissible Lipschitz bound."""
     pts = np.concatenate([a.lambdas, b.lambdas])
-    vals = np.array([complex(f(x)) for x in pts])
-    floor = 0.0
-    for i in range(pts.size):
-        for j in range(pts.size):
-            if pts[i] != pts[j]:
-                floor = max(floor, abs((vals[i] - vals[j]) / (pts[i] - pts[j])))
-    return floor
+    return float(np.abs(divided_difference_matrix(f, pts, pts, 0.0)).max())
 
 
 def lipschitz_commutator_check(

@@ -9,7 +9,6 @@ Index convention: multiplier entry (k, j) couples output coordinate k
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -190,6 +190,26 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["all", "--config", str(notjson)]) == 3
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dims": [0]},
+        {"dims": [-2]},
+        {"pq_pairs": [[1, "nan"]]},
+        {"pq_pairs": [[1, 2, 3]]},
+        {"search": {"restarts": 2, "retries": 1}},
+        {"trials": True},
+        {"tol": -1.0},
+    ],
+)
+def test_cli_malformed_values_exit_code(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, **override)
+    out = tmp_path / "out.csv"
+    assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_violation_exit_code(tmp_path, monkeypatch):
     def exploding(cfg):
         raise ViolationError("boom", {"n": 1})

@@ -154,6 +154,27 @@ def test_check_abs_antidiagonal_example():
     assert res["satisfied"]
 
 
+def loop_lipschitz_floor(f, a, b):
+    pts = np.concatenate([a.lambdas, b.lambdas])
+    vals = [complex(f(x)) for x in pts]
+    floor = 0.0
+    for i in range(pts.size):
+        for j in range(pts.size):
+            if pts[i] != pts[j]:
+                floor = max(floor, abs((vals[i] - vals[j]) / (pts[i] - pts[j])))
+    return floor
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("f", [abs, lambda t: t * t, lambda t: np.sin(3.0 * t)], ids=["abs", "square", "sin"])
+def test_sampled_floor_matches_pairwise_loop(seed, f):
+    a, b, _ = random_pair(seed, n=5)
+    if seed % 2:  # repeated eigenvalues, within A and shared with B
+        a.lambdas[:3] = a.lambdas[0]
+        b.lambdas[1] = a.lambdas[0]
+    assert sampled_lipschitz_floor(f, a, b) == pytest.approx(loop_lipschitz_floor(f, a, b), rel=1e-12)
+
+
 def test_check_rejects_lip_below_sampled_floor():
     a = DiagonalizableOperator.diagonal([0.0, 2.0])
     b = DiagonalizableOperator.diagonal([1.0, 3.0])

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doilab.norms import EXACT, INF, SearchConfig
+from doilab.norms import EXACT, INF, SearchConfig, opnorm_upper
 from doilab.spectral import (
     DiagonalizableOperator,
+    _endpoint_scaling,
+    _ScalingSums,
+    _surrogate,
     assemble,
     diagonalizability_constant,
     functional_calculus,
@@ -200,3 +203,62 @@ def test_normal_operator_constants_are_one():
     op = DiagonalizableOperator.from_u(rng.uniform(-1, 1, 4), q)
     assert spectral_constant(op, 2.0).value == pytest.approx(1.0, abs=1e-9)
     assert diagonalizability_constant(op, 2.0).value == pytest.approx(1.0, abs=1e-9)
+
+
+def scaled_product(op, d, p):
+    """||DU||_p ||U^{-1}D^{-1}||_p for D = diag(d)."""
+    return opnorm_upper(d[:, None] * op.u, p) * opnorm_upper(op.u_inv / d[None, :], p)
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+@pytest.mark.parametrize("seed", range(5))
+def test_k_endpoint_closed_form_is_optimal(seed, p):
+    op = random_operator(seed, n=6, delta=0.4)
+    est = diagonalizability_constant(op, p)
+    m = np.abs(op.u_inv) @ np.abs(op.u)
+    closed = m.sum(axis=0).max() if p == 1.0 else m.sum(axis=1).max()
+    assert est.certainty == EXACT
+    assert est.value == pytest.approx(max(closed, 1.0), rel=1e-12)
+    d = _endpoint_scaling(op, p)
+    assert str(np.round(np.log(d), 6).tolist()) in est.argument
+    assert scaled_product(op, d, p) == pytest.approx(est.value, rel=1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        assert scaled_product(op, np.exp(2.0 * rng.standard_normal(op.n)), p) >= est.value * (1 - 1e-12)
+        assert scaled_product(op, d * np.exp(0.01 * rng.standard_normal(op.n)), p) >= est.value * (1 - 1e-12)
+    assert spectral_constant(op, p).value <= est.value + 1e-9
+
+
+@pytest.mark.parametrize("seed,p,expected", [
+    (21, 1.5, 19.239824217290593), (22, 3.0, 18.69494340114119), (23, 2.0, 5.252502905540681),
+])
+def test_k_interior_descent_values_pinned(seed, p, expected):
+    # values of the descent that rebuilt |DU| and |U^{-1}D^{-1}| on every probe
+    est = diagonalizability_constant(random_operator(seed, n=6, delta=0.4), p)
+    assert est.certainty == "upper_bound"
+    assert est.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_k_probe_sums_match_fresh_recomputation(p):
+    op = random_operator(11, n=7, delta=0.5)
+    rng = np.random.default_rng(12)
+    logd = rng.standard_normal(op.n)
+    sums = _ScalingSums(np.abs(op.u), np.abs(op.u_inv).T.copy(), logd, p)
+    for _ in range(300):
+        i = int(rng.integers(op.n))
+        logd_i = logd[i] + rng.choice([-0.5, 0.5])
+        probe = sums.probe(i, math.exp(logd_i))
+        if rng.random() < 0.5:
+            continue
+        sums.commit(i, math.exp(logd_i))
+        logd[i] = logd_i
+        d = np.exp(logd)
+        du = np.abs(d[:, None] * op.u)
+        vd = np.abs(op.u_inv / d[None, :])
+        fresh = (du.sum(axis=0), du.sum(axis=1), vd.sum(axis=0), vd.sum(axis=1))
+        for kept, want in zip((sums.u_col, sums.u_row, sums.v_col, sums.v_row), fresh):
+            np.testing.assert_allclose(kept, want, rtol=1e-12)
+        n1_u, ninf_u, n1_v, ninf_v = (float(s.max()) for s in fresh)
+        assert probe == pytest.approx(_surrogate(n1_u, ninf_u, n1_v, ninf_v, p), rel=1e-12)
+        assert sums.value() == pytest.approx(probe, rel=1e-12)
