@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,18 +171,6 @@ def _rng(seed_used: int) -> np.random.Generator:
     return np.random.default_rng(seed_used)
 
 
-def _search(cfg: ExperimentConfig, seed_used: int) -> SearchConfig:
-    s = cfg.search
-    return SearchConfig(
-        multistarts=s.multistarts,
-        max_iter=s.max_iter,
-        tol=s.tol,
-        seed=seed_used,
-        exhaustive_cap=s.exhaustive_cap,
-        ascent_steps=s.ascent_steps,
-    )
-
-
 def _sort_rows(rows: list) -> list:
     return sorted(
         rows, key=lambda r: (r.experiment, r.n, r.p, r.q, r.trial, r.metric)
@@ -210,7 +198,7 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
         for n in cfg.dims:
             seed_used = _trial_seed(cfg.seed, label, p, q, n, 0)
             est = multiplier_norm(
-                standard_truncation_mask(n, n, n), p, q, _search(cfg, seed_used)
+                standard_truncation_mask(n, n, n), p, q, replace(cfg.search, seed=seed_used)
             )
             values.append(est.value)
             rows.append(
@@ -276,7 +264,8 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
                 seed_used = _trial_seed(cfg.seed, label, p, q, n, 0)
                 a, b, S = _adversarial_instance(n)
                 rep = commutator_transform(
-                    a, b, S, abs, p, q, _search(cfg, seed_used), diagonal=1.0, with_constants=False
+                    a, b, S, abs, p, q, replace(cfg.search, seed=seed_used),
+                    diagonal=1.0, with_constants=False,
                 )
                 rows.append(
                     ResultRow(
@@ -287,7 +276,7 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
             for trial in range(cfg.trials):
                 seed_used = _trial_seed(cfg.seed, label, p, q, n, trial)
                 rng = _rng(seed_used)
-                search = _search(cfg, seed_used)
+                search = replace(cfg.search, seed=seed_used)
                 a = _sample_controlled_operator(rng, n, p)
                 b = _sample_controlled_operator(rng, n, q)
                 if a is None or b is None:
@@ -339,7 +328,7 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
         for trial in range(cfg.trials):
             seed_used = _trial_seed(cfg.seed, label, p, q, n, trial)
             rng = _rng(seed_used)
-            search = _search(cfg, seed_used)
+            search = replace(cfg.search, seed=seed_used)
             lam = rng.uniform(-1.0, 1.0, size=n)
             mu = rng.uniform(-1.0, 1.0, size=n)
             u = _random_unitary(rng, n)
@@ -380,7 +369,7 @@ def run_psumming_check(cfg: ExperimentConfig) -> list:
             for trial in range(cfg.trials):
                 seed_used = _trial_seed(cfg.seed, label, p, p, n, trial)
                 rng = _rng(seed_used)
-                search = _search(cfg, seed_used)
+                search = replace(cfg.search, seed=seed_used)
                 a = _sample_controlled_operator(rng, n, ctx.pstar)
                 b = _sample_controlled_operator(rng, n, ctx.p)
                 if a is None or b is None:
@@ -421,7 +410,7 @@ def run_doi_identity(cfg: ExperimentConfig) -> list:
         for trial in range(cfg.trials):
             seed_used = _trial_seed(cfg.seed, label, 2.0, 2.0, n, trial)
             rng = _rng(seed_used)
-            search = _search(cfg, seed_used)
+            search = replace(cfg.search, seed=seed_used)
             lam = rng.uniform(-1.0, 1.0, size=n)
             mu = rng.uniform(-1.0, 1.0, size=n)
             collision = trial % 3 == 1 and n >= 2

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+# least positive (subnormal) double, and least normal double: 1/x is
+# finite for every x at or above _NORMAL
+_LEAST = 5e-324
+_NORMAL = 2.0**-1022
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -46,24 +50,34 @@ def conjugate_exponent(p) -> float:
     return p / (p - 1.0)
 
 
+def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of each row of a (k, n) array of moduli: the max modulus
+    for p=inf, otherwise (sum a^p)^(1/p) with the row max scaled out to
+    avoid overflow for large p."""
+    if p == INF:
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=1))
+    # flooring the max at the least positive double changes no nonzero row
+    # and makes an all-zero row come out 0 instead of 0/0
+    m = np.maximum.reduce(a, axis=1, initial=_LEAST)
+    sums = ((a / m[:, None]) ** p).sum(axis=1)
+    # The root is taken with the C library's scalar pow: numpy's SIMD power
+    # differs from it in the last bit for some inputs, and reported values
+    # must rerun byte-identically.
+    root = 1.0 / p
+    return m * np.array([s**root for s in sums.tolist()])
+
+
 def vector_norm(x, p) -> float:
     """(sum |x_j|^p)^(1/p) for finite p, max modulus for p=inf."""
     p = check_exponent(p)
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("vector_norm of an empty vector")
-    a = np.abs(x).astype(float)
-    if p == INF:
-        return float(a.max())
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt((a * a).sum()))
-    m = a.max()
-    if m == 0.0:
-        return 0.0
-    # scale out the max to avoid overflow for large p
-    return float(m * ((a / m) ** p).sum() ** (1.0 / p))
+    return float(_row_norms(np.abs(x).astype(float).reshape(1, -1), p)[0])
 
 
 @dataclass
@@ -96,13 +110,30 @@ class NormEstimate:
         return vector_norm(np.asarray(S) @ self.witness, q) / wn
 
 
-def _phase_conj(v: np.ndarray) -> np.ndarray:
-    """Conjugate phase vector; zero where v is zero."""
-    a = np.abs(v)
+def _phase_conj(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Conjugate phase conj(v)/|v| of each entry of v, given a = |v|; zero
+    where v is zero."""
+    if np.minimum.reduce(a, axis=None, initial=INF) >= _NORMAL:
+        return np.conj(v) / a
     out = np.zeros_like(v, dtype=complex)
     nz = a > 0
-    out[nz] = np.conj(v[nz]) / a[nz]
+    # numpy's complex division multiplies by 1/|v|, which overflows for
+    # |v| below 1/DBL_MAX (subnormal entries); divide the parts separately
+    # there and keep every other entry as the division rounds it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[nz] = np.conj(v[nz]) / a[nz]
+        bad = ~np.isfinite(out)
+        out[bad] = v.real[bad] / a[bad] - 1j * (v.imag[bad] / a[bad])
     return out
+
+
+def _dual_rows(v: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
+    """`dual_map` of each row of the (k, n) block v, given a = |v|."""
+    ph = _phase_conj(v, a)
+    if r == INF or r == 1.0:
+        return ph
+    m = np.maximum.reduce(a, axis=1, keepdims=True, initial=_LEAST)
+    return ph * (a / m) ** (r - 1.0)
 
 
 def dual_map(v, r) -> np.ndarray:
@@ -113,15 +144,75 @@ def dual_map(v, r) -> np.ndarray:
     For r=1 this is the phase vector, for r=inf it is interpreted as the
     exponent-0 map (phases of the nonzero entries).
     """
-    v = np.asarray(v, dtype=complex)
-    ph = _phase_conj(v)
-    if r == INF or r == 1.0:
-        return ph
-    a = np.abs(v)
-    m = a.max()
-    if m == 0.0:
-        return ph
-    return ph * (a / m) ** (r - 1.0)
+    v = np.asarray(v, dtype=complex).reshape(1, -1)
+    return _dual_rows(v, np.abs(v), r)[0]
+
+
+def _matvecs(ops, rows, v) -> np.ndarray:
+    """Row i of the result is ops[rows[i]] @ v[i], one matvec per row."""
+    out = np.empty((len(rows), ops[0].shape[0]), dtype=complex)
+    for i, r in enumerate(rows):
+        out[i] = ops[r] @ v[i]
+    return out
+
+
+def _power_block(mats, owner, x0, p, q, tol, max_iter):
+    """Alternating maximization of ||S x||_q over the unit p-ball for a
+    (k, n) block of starts x0, row r iterating with S = mats[owner[r]].
+
+    Each row gets its own matvecs; every elementwise step runs once on the
+    rows still active. A row leaves at the iteration where its own
+    objective stops rising, so each row follows exactly the path that a
+    single-start iteration from it would. Returns per-row lists of values,
+    witnesses and method labels.
+    """
+    pstar = conjugate_exponent(p)
+    xn = _row_norms(np.abs(x0), p)
+    if not np.all(xn != 0.0):
+        raise ValueError("starting vector must be nonzero in l_p")
+    best_x = x0 / xn[:, None]
+    best = np.zeros(len(owner))
+    labels = np.full(len(owner), "power_iteration", dtype=object)
+    zero = np.array([not np.any(S) for S in mats])[owner]
+    labels[zero] = "power_iteration:zero_matrix"
+    fwd = [mats[i] for i in owner]
+    adj = [S.T for S in fwd]
+    # the active rows: their indices, their best iterates x with values val,
+    # and y = S x with moduli a
+    act = np.flatnonzero(~zero)
+    x = best_x[act]
+    y = _matvecs(fwd, act, x)
+    a = np.abs(y)
+    val = _row_norms(a, q)
+    for _ in range(max_iter):
+        if act.size == 0:
+            break
+        z = _matvecs(adj, act, _dual_rows(y, a, q))
+        xd = _dual_rows(z, np.abs(z), pstar)
+        nn = _row_norms(np.abs(xd), p)
+        if not nn.all():
+            out = nn == 0.0
+            best[act[out]], best_x[act[out]] = val[out], x[out]
+            act, x, val, xd, nn = act[~out], x[~out], val[~out], xd[~out], nn[~out]
+        x_new = xd / nn[:, None]
+        y = _matvecs(fwd, act, x_new)
+        a = np.abs(y)
+        val_new = _row_norms(a, q)
+        # alternating maximization cannot decrease; a drop is numerical
+        # noise, and the row keeps its previous iterate
+        up = val_new >= val
+        stay = up & ~(val_new - val < tol * np.maximum(val_new, 1e-300))
+        if stay.all():
+            x, val = x_new, val_new
+        else:
+            x, val = np.where(up[:, None], x_new, x), np.where(up, val_new, val)
+            out = ~stay
+            best[act[out]], best_x[act[out]] = val[out], x[out]
+            act, x, val, y, a = act[stay], x[stay], val[stay], y[stay], a[stay]
+    else:
+        labels[act] = "power_iteration:max_iter"
+    best[act], best_x[act] = val, x
+    return best.tolist(), list(best_x), labels.tolist()
 
 
 def power_iteration_pq(S, p, q, x0, tol=1e-10, max_iter=500):
@@ -136,40 +227,9 @@ def power_iteration_pq(S, p, q, x0, tol=1e-10, max_iter=500):
     q = check_exponent(q)
     if p == 1.0 or q == INF:
         raise ExponentError("power_iteration_pq handles 1 < p <= inf, q < inf")
-    S = np.asarray(S, dtype=complex)
-    x = np.asarray(x0, dtype=complex)
-    xn = vector_norm(x, p)
-    if xn == 0.0:
-        raise ValueError("starting vector must be nonzero in l_p")
-    x = x / xn
-    if not np.any(S):
-        return 0.0, x, "power_iteration:zero_matrix"
-    pstar = conjugate_exponent(p)
-    best = vector_norm(S @ x, q)
-    best_x = x
-    label = "power_iteration"
-    for _ in range(max_iter):
-        y = S @ x
-        u = dual_map(y, q)
-        z = S.T @ u
-        xn_new = dual_map(z, pstar)
-        nn = vector_norm(xn_new, p)
-        if nn == 0.0:
-            break
-        x = xn_new / nn
-        val = vector_norm(S @ x, q)
-        if val >= best:
-            improved = val - best
-            best = val
-            best_x = x
-            if improved < tol * max(best, 1e-300):
-                break
-        else:
-            # alternating maximization cannot decrease; numerical noise only
-            break
-    else:
-        label = "power_iteration:max_iter"
-    return best, best_x, label
+    x0 = np.asarray(x0, dtype=complex).reshape(1, -1)
+    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, tol, max_iter)
+    return vals[0], wits[0], labels[0]
 
 
 def _exact_p1(S: np.ndarray, q: float) -> NormEstimate:
@@ -189,10 +249,10 @@ def _lp_dual_witness(row: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         k = int(np.argmax(np.abs(row)))
         x = np.zeros_like(row, dtype=complex)
-        x[k] = _phase_conj(row[k : k + 1])[0]
+        x[k] = dual_map(row[k : k + 1], 1.0)[0]
         return x
     if p == INF:
-        return _phase_conj(row)
+        return dual_map(row, 1.0)
     pstar = conjugate_exponent(p)
     x = dual_map(row, pstar)
     return x / vector_norm(x, p)
@@ -211,47 +271,61 @@ def _exact_22(S: np.ndarray) -> NormEstimate:
     return NormEstimate(float(s[0]), EXACT, vh[0, :].conj(), "exact:svd")
 
 
-def _start_vectors(S: np.ndarray, cfg: SearchConfig):
-    n = S.shape[1]
-    starts = [np.ones(n, dtype=complex)]
-    for k in range(min(n, max(cfg.multistarts - 1, 0))):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        starts.append(e)
-    rng = cfg.rng(S.shape[0], n)
-    while len(starts) < cfg.multistarts:
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        starts.append(g)
-    return starts[: max(cfg.multistarts, 1)]
+def _start_vectors(shape, cfg: SearchConfig) -> np.ndarray:
+    """(k, n) block of multistarts for an m x n matrix: the all-ones
+    vector, then unit vectors, then complex Gaussians seeded by the shape."""
+    m, n = shape
+    k = max(cfg.multistarts, 1)
+    starts = np.zeros((k, n), dtype=complex)
+    starts[0] = 1.0
+    e = min(n, k - 1)
+    starts[1 : 1 + e, :e] = np.eye(e)
+    rng = cfg.rng(m, n)
+    for r in range(1 + e, k):
+        starts[r] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return starts
+
+
+def opnorms(mats, p, q, cfg: SearchConfig | None = None) -> list[NormEstimate]:
+    """`opnorm` of each matrix in mats, all of one shape. Outside the exact
+    branches, every multistart of every matrix runs in one power-iteration
+    block, and each matrix keeps its best start."""
+    p = check_exponent(p)
+    q = check_exponent(q)
+    mats = [np.asarray(S, dtype=complex) for S in mats]
+    for S in mats:
+        if S.size == 0:
+            raise ValueError("opnorm of an empty matrix")
+        if not np.all(np.isfinite(S)):
+            raise ValueError("matrix entries must be finite")
+    if len({S.shape for S in mats}) > 1:
+        raise ValueError("opnorms takes matrices of one shape")
+    if p == 1.0:
+        return [_exact_p1(S, q) for S in mats]
+    if q == INF:
+        return [_exact_qinf(S, p) for S in mats]
+    if p == 2.0 and q == 2.0:
+        return [_exact_22(S) for S in mats]
+    if not mats:
+        return []
+    cfg = cfg or SearchConfig()
+    starts = _start_vectors(mats[0].shape, cfg)
+    k = len(starts)
+    owner = np.repeat(np.arange(len(mats)), k)
+    vals, wits, labels = _power_block(
+        mats, owner, np.tile(starts, (len(mats), 1)), p, q, cfg.tol, cfg.max_iter
+    )
+    out = []
+    for i in range(len(mats)):
+        r = max(range(i * k, (i + 1) * k), key=vals.__getitem__)  # first best start
+        out.append(NormEstimate(vals[r], LOWER_BOUND, wits[r].copy(), labels[r]))
+    return out
 
 
 def opnorm(S, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     """l_p -> l_q operator norm of S: exact where a closed form exists,
     otherwise the best multistart power-iteration lower bound."""
-    p = check_exponent(p)
-    q = check_exponent(q)
-    S = np.asarray(S, dtype=complex)
-    if S.size == 0:
-        raise ValueError("opnorm of an empty matrix")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("matrix entries must be finite")
-    if p == 1.0:
-        return _exact_p1(S, q)
-    if q == INF:
-        return _exact_qinf(S, p)
-    if p == 2.0 and q == 2.0:
-        return _exact_22(S)
-    cfg = cfg or SearchConfig()
-    best = None
-    label = "power_iteration"
-    for x0 in _start_vectors(S, cfg):
-        if vector_norm(x0, p) == 0.0:
-            continue
-        val, w, lab = power_iteration_pq(S, p, q, x0, tol=cfg.tol, max_iter=cfg.max_iter)
-        if best is None or val > best.value:
-            best = NormEstimate(val, LOWER_BOUND, w, lab)
-    assert best is not None
-    return best
+    return opnorms([S], p, q, cfg)[0]
 
 
 def _sign_vectors(n: int):
@@ -301,17 +375,10 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
         raise CapacityError("grid search limited to n <= 4")
     pts = _angular_grid(n, resolution)
     # p-normalize each direction, evaluate all at once
-    pn = np.array([vector_norm(x, p) for x in pts])
+    pn = _row_norms(np.abs(pts), p)
     keep = pn > 0
     X = pts[keep] / pn[keep, None]
-    Y = np.asarray(S, dtype=complex) @ X.T
-    a = np.abs(Y)
-    if q == INF:
-        vals = a.max(axis=0)
-    elif q == 1.0:
-        vals = a.sum(axis=0)
-    else:
-        vals = (a**q).sum(axis=0) ** (1.0 / q)
+    vals = _row_norms(np.abs(X @ np.asarray(S, dtype=complex).T), q)
     i = int(np.argmax(vals))
     return NormEstimate(float(vals[i]), LOWER_BOUND, X[i].astype(complex), "bruteforce:grid")
 

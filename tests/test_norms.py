@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doilab import norms
 from doilab.norms import (
     EXACT,
     INF,
@@ -18,6 +20,7 @@ from doilab.norms import (
     opnorm,
     opnorm_bruteforce,
     opnorm_upper,
+    opnorms,
     power_iteration_pq,
     vector_norm,
 )
@@ -181,6 +184,185 @@ def test_power_iteration_objective_nondecreasing(seed, p, q):
         cur = vector_norm(S @ x, q)
         assert cur >= prev - 1e-12 * max(1.0, prev)
         prev = cur
+
+
+def test_phase_of_subnormal_entry_is_finite():
+    # numpy's complex division forms 1/|v|, which overflows at |v| < 1/DBL_MAX
+    v = np.array([1.29564e-319 + 0j, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ph = dual_map(v, 1.0)
+    assert np.array_equal(np.abs(ph), [1.0, 1.0])
+
+
+# ------------------------------------- block kernel against the plain loop
+# The single-start loop that the block kernel replaced, with its own norm
+# and duality map: the kernel must reproduce it bit for bit, row by row.
+
+
+def _ref_norm(x, p):
+    a = np.abs(np.asarray(x)).astype(float)
+    if p == INF:
+        return float(a.max())
+    if p == 1.0:
+        return float(a.sum())
+    if p == 2.0:
+        return float(np.sqrt((a * a).sum()))
+    m = a.max()
+    if m == 0.0:
+        return 0.0
+    return float(m * ((a / m) ** p).sum() ** (1.0 / p))
+
+
+def _ref_dual(v, r):
+    a = np.abs(v)
+    ph = np.zeros_like(v, dtype=complex)
+    nz = a > 0
+    ph[nz] = np.conj(v[nz]) / a[nz]
+    if r == INF or r == 1.0:
+        return ph
+    m = a.max()
+    if m == 0.0:
+        return ph
+    return ph * (a / m) ** (r - 1.0)
+
+
+def _ref_power_iteration(S, p, q, x0, tol, max_iter):
+    """(value, witness, label, iterations run) of one start."""
+    x = x0 / _ref_norm(x0, p)
+    if not np.any(S):
+        return 0.0, x, "power_iteration:zero_matrix", 0
+    pstar = conjugate_exponent(p)
+    best, best_x, label, it = _ref_norm(S @ x, q), x, "power_iteration", 0
+    for it in range(1, max_iter + 1):
+        xn = _ref_dual(S.T @ _ref_dual(S @ x, q), pstar)
+        nn = _ref_norm(xn, p)
+        if nn == 0.0:
+            break
+        x = xn / nn
+        val = _ref_norm(S @ x, q)
+        if val >= best:
+            improved = val - best
+            best, best_x = val, x
+            if improved < tol * max(best, 1e-300):
+                break
+        else:
+            break
+    else:
+        label = "power_iteration:max_iter"
+    return best, best_x, label, it
+
+
+def _ref_starts(m, n, cfg):
+    starts = [np.ones(n, dtype=complex)]
+    for k in range(min(n, max(cfg.multistarts - 1, 0))):
+        e = np.zeros(n, dtype=complex)
+        e[k] = 1.0
+        starts.append(e)
+    rng = cfg.rng(m, n)
+    while len(starts) < cfg.multistarts:
+        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return starts[: max(cfg.multistarts, 1)]
+
+
+def _ref_opnorm(S, p, q, cfg):
+    best = None
+    for x0 in _ref_starts(*S.shape, cfg):
+        val, w, lab, _ = _ref_power_iteration(S, p, q, x0, cfg.tol, cfg.max_iter)
+        if best is None or val > best[0]:
+            best = (val, w, lab)
+    return best
+
+
+def _kernel_cases(seed):
+    """Real, complex, rectangular, zero-column and zero matrices."""
+    rng = np.random.default_rng(seed)
+    mats = [
+        rng.standard_normal((5, 5)),
+        rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)),
+        rng.standard_normal((7, 2)),
+        np.zeros((4, 4)),
+    ]
+    zero_col = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    zero_col[:, 2] = 0.0
+    mats.append(zero_col)
+    return [np.asarray(S, dtype=complex) for S in mats]
+
+
+def _same(a, b):
+    (va, wa, la), (vb, wb, lb) = a, b
+    return va == vb and wa.tobytes() == wb.tobytes() and la == lb
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, INF])
+@pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
+def test_power_block_matches_single_start_loop(p, q):
+    rng = np.random.default_rng(17)
+    labels_seen, uneven = set(), False
+    for S in _kernel_cases(int(rng.integers(1 << 30))):
+        for max_iter in (3, 300):
+            k = int(rng.integers(1, 13))
+            starts = rng.standard_normal((k, S.shape[1])) + 1j * rng.standard_normal((k, S.shape[1]))
+            starts[0] = 1.0
+            vals, wits, labels = norms._power_block([S], np.zeros(k, int), starts, p, q, 1e-10, max_iter)
+            iters = set()
+            for r in range(k):
+                val, w, lab, it = _ref_power_iteration(S, p, q, starts[r], 1e-10, max_iter)
+                assert _same((vals[r], wits[r], labels[r]), (val, w, lab)), (S.shape, max_iter, r)
+                assert _same(power_iteration_pq(S, p, q, starts[r], 1e-10, max_iter), (val, w, lab))
+                labels_seen.add(lab)
+                iters.add(it)
+            uneven |= len(iters) > 1
+    # every label occurs, and some block has rows that stop at different iterations
+    assert labels_seen == {"power_iteration", "power_iteration:max_iter", "power_iteration:zero_matrix"}
+    assert uneven
+
+
+def test_power_block_rows_with_different_matrices():
+    S = _kernel_cases(11)[0]
+    mats = [S, S * 2.0, S.T @ S]
+    rng = np.random.default_rng(2)
+    owner = np.array([0, 2, 1, 0, 2, 2])
+    starts = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    vals, wits, labels = norms._power_block(mats, owner, starts, 3.0, 1.5, 1e-10, 300)
+    for r, i in enumerate(owner):
+        ref = _ref_power_iteration(mats[i], 3.0, 1.5, starts[r], 1e-10, 300)
+        assert _same((vals[r], wits[r], labels[r]), ref[:3])
+
+
+@pytest.mark.parametrize("multistarts, max_iter", [(1, 300), (5, 300), (12, 300), (8, 4)])
+def test_opnorm_matches_single_start_loop(multistarts, max_iter):
+    cfg = SearchConfig(multistarts=multistarts, max_iter=max_iter, seed=99)
+    for S in _kernel_cases(7):
+        for p, q in [(3.0, 1.5), (INF, 1.0), (1.5, 4.0), (2.0, 1.0)]:
+            est = opnorm(S, p, q, cfg)
+            assert est.certainty == LOWER_BOUND
+            assert _same((est.value, est.witness, est.method), _ref_opnorm(S, p, q, cfg))
+
+
+def test_opnorms_equals_opnorm_of_each():
+    cfg = SearchConfig(multistarts=6, seed=3)
+    rng = np.random.default_rng(8)
+    mats = [rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(4)]
+    mats.append(np.zeros((4, 5)))
+    for p, q in [(3.0, 1.5), (2.0, 4.0), (2.0, 2.0), (1.0, 3.0), (1.5, INF)]:
+        batch = opnorms(mats, p, q, cfg)
+        for S, est in zip(mats, batch):
+            one = opnorm(S, p, q, cfg)
+            assert (est.value, est.witness.tobytes(), est.method, est.certainty) == (
+                one.value, one.witness.tobytes(), one.method, one.certainty)
+    assert opnorms([], 3.0, 1.5) == []
+    with pytest.raises(ValueError):
+        opnorms([np.eye(2), np.eye(3)], 3.0, 1.5)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    x=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=9),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.5, INF]),
+)
+def test_vector_norm_matches_scalar_formula(x, p):
+    assert vector_norm(x, p) == _ref_norm(x, p)
 
 
 # ------------------------------------------------------------- brute force

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig
 from doilab.schur import (
     MultiplierMask,
+    StaircaseDescriptor,
     abs_divided_difference,
     canonicalize_mask,
     divided_difference_matrix,
@@ -141,6 +142,14 @@ def test_canonicalize_with_zero_row():
     assert np.array_equal(d.reconstruct(2, 2), mask)
 
 
+def test_reconstruct_unmapped_entries_and_size():
+    d = StaircaseDescriptor(2, [1, 2], [2, None, 1])
+    assert np.array_equal(d.reconstruct(2, 3), [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(d.reconstruct(1, 2), [[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        d.reconstruct(3, 3)
+
+
 @settings(deadline=None, max_examples=200)
 @given(lam=SEQ, mu=SEQ)
 def test_canonicalize_reconstruction_invariant(lam, mu):
@@ -193,6 +202,21 @@ def test_multiplier_norm_max_entry_floor(seed):
     M = rng.standard_normal((3, 3))
     est = multiplier_norm(M, 2, 2, SearchConfig(multistarts=4, ascent_steps=5))
     assert est.value >= np.abs(M).max() - 1e-12
+
+
+@pytest.mark.parametrize("p, q, n, value", [
+    (2.0, 4.0, 8, "0x1.15b070ba0126fp+0"),
+    (2.0, 4.0, 32, "0x1.3cd15807cd445p+0"),
+    (3.0, 1.5, 8, "0x1.2e7754234d54cp+0"),
+    (3.0, 1.5, 32, "0x1.2606df724db84p+0"),
+])
+def test_multiplier_norm_pinned_values(p, q, n, value):
+    # reruns must be byte-identical, so a change to the norm search must
+    # reproduce these; on this +-1 mask the ratio ascent beats the floor 1
+    j = np.arange(n)
+    M = np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :]))
+    est = multiplier_norm(M, p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
+    assert est.value == float.fromhex(value)
 
 
 def test_multiplier_norm_column_repetition_invariance_exact_branch():
