@@ -378,8 +378,9 @@ def run_psumming_check(cfg: ExperimentConfig) -> list:
                     )
                     continue
                 S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for tag, f in (("abs", abs), ("identity", lambda t: t)):
-                    res = lipschitz_commutator_check(a, b, S, f, 1.0, ctx, search)
+                tags, fs = ("abs", "identity"), (abs, lambda t: t)
+                results = lipschitz_commutator_check(a, b, S, fs, 1.0, ctx, search)
+                for tag, res in zip(tags, results):
                     if not res["satisfied"]:
                         raise ViolationError(
                             "p-summing commutator bound violated",

@@ -71,33 +71,36 @@ def lipschitz_commutator_check(
     a: DiagonalizableOperator,
     b: DiagonalizableOperator,
     S,
-    f,
+    fs,
     lip: float,
     ctx: PSummingContext,
     cfg: SearchConfig | None = None,
-) -> dict:
-    """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B lip pi_p(BS - SA) with K
-    upper bounds; both pi_p values are exact entrywise norms. A acts on
-    l_{p*}, B on l_p."""
+) -> list[dict]:
+    """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B lip pi_p(BS - SA) for each f
+    in fs, with K upper bounds; both pi_p values are exact entrywise
+    norms. A acts on l_{p*}, B on l_p. K_A, K_B and pi_p(BS - SA) do not
+    depend on f and are computed once; returns one result per f."""
     cfg = cfg or SearchConfig()
-    floor = sampled_lipschitz_floor(f, a, b)
-    if lip < floor - 1e-12:
-        raise ValueError(
-            f"supplied Lipschitz bound {lip} is below the sampled divided-difference max {floor}"
-        )
+    for f in fs:
+        floor = sampled_lipschitz_floor(f, a, b)
+        if lip < floor - 1e-12:
+            raise ValueError(
+                f"supplied Lipschitz bound {lip} is below the sampled divided-difference max {floor}"
+            )
     S = np.asarray(S, dtype=complex)
-    A = assemble(a)
-    B = assemble(b)
-    lhs = pi_p_norm(functional_calculus(b, f) @ S - S @ functional_calculus(a, f), ctx)
-    rhs = pi_p_norm(B @ S - S @ A, ctx)
+    rhs = pi_p_norm(assemble(b) @ S - S @ assemble(a), ctx)
     k_a = diagonalizability_constant(a, ctx.pstar, cfg, max_sweeps=8).value
     k_b = diagonalizability_constant(b, ctx.p, cfg, max_sweeps=8).value
     bound = k_a * k_b * lip * rhs
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "bound": bound,
-        "K_A": k_a,
-        "K_B": k_b,
-        "satisfied": lhs <= bound + 1e-9 * (1.0 + bound),
-    }
+    results = []
+    for f in fs:
+        lhs = pi_p_norm(functional_calculus(b, f) @ S - S @ functional_calculus(a, f), ctx)
+        results.append({
+            "lhs": lhs,
+            "rhs": rhs,
+            "bound": bound,
+            "K_A": k_a,
+            "K_B": k_b,
+            "satisfied": lhs <= bound + 1e-9 * (1.0 + bound),
+        })
+    return results

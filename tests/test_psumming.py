@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doilab import psumming
+from doilab.experiments import ExperimentConfig, run_psumming_check
 from doilab.norms import INF, SearchConfig
 from doilab.psumming import (
     PSummingContext,
@@ -137,7 +139,7 @@ def test_check_identity_function_trivial_instance():
     a = DiagonalizableOperator.diagonal([1.0, -0.5])
     b = DiagonalizableOperator.diagonal([0.3, 0.7])
     S = np.array([[1.0, 2.0], [3.0, 4.0]])
-    res = lipschitz_commutator_check(a, b, S, lambda t: t, 1.0, PSummingContext(2.0))
+    [res] = lipschitz_commutator_check(a, b, S, [lambda t: t], 1.0, PSummingContext(2.0))
     assert res["lhs"] == pytest.approx(res["rhs"], rel=1e-12)
     assert res["K_A"] == pytest.approx(1.0, abs=1e-9)
     assert res["K_B"] == pytest.approx(1.0, abs=1e-9)
@@ -148,7 +150,7 @@ def test_check_abs_antidiagonal_example():
     a = DiagonalizableOperator.diagonal([1.0, -1.0])
     b = DiagonalizableOperator.diagonal([1.0, -1.0])
     S = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = lipschitz_commutator_check(a, b, S, abs, 1.0, PSummingContext(2.0))
+    [res] = lipschitz_commutator_check(a, b, S, [abs], 1.0, PSummingContext(2.0))
     assert res["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert res["rhs"] == pytest.approx(2.0 * math.sqrt(2.0))
     assert res["satisfied"]
@@ -182,7 +184,7 @@ def test_check_rejects_lip_below_sampled_floor():
     assert floor == pytest.approx(5.0)
     with pytest.raises(ValueError):
         lipschitz_commutator_check(
-            a, b, np.eye(2), lambda t: 5.0 * t, 1.0, PSummingContext(2.0)
+            a, b, np.eye(2), [abs, lambda t: 5.0 * t], 1.0, PSummingContext(2.0)
         )
 
 
@@ -192,6 +194,31 @@ def test_check_random_instances_satisfied(seed, p):
     a, b, S = random_pair(seed)
     ctx = PSummingContext(p)
     cfg = SearchConfig(multistarts=4)
-    for f in (abs, lambda t: t):
-        res = lipschitz_commutator_check(a, b, S, f, 1.0, ctx, cfg)
+    for res in lipschitz_commutator_check(a, b, S, (abs, lambda t: t), 1.0, ctx, cfg):
         assert res["satisfied"]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_check_of_several_functions_equals_one_function_checks(p):
+    a, b, S = random_pair(3, n=5)
+    ctx = PSummingContext(p)
+    cfg = SearchConfig(multistarts=4, seed=9)
+    fs = (abs, lambda t: t, lambda t: np.sin(t))
+    results = lipschitz_commutator_check(a, b, S, fs, 1.0, ctx, cfg)
+    assert results == [lipschitz_commutator_check(a, b, S, [f], 1.0, ctx, cfg)[0] for f in fs]
+
+
+def test_psumming_check_computes_each_k_once_per_instance(monkeypatch):
+    calls = []
+    k = psumming.diagonalizability_constant
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return k(*args, **kwargs)
+
+    monkeypatch.setattr(psumming, "diagonalizability_constant", counted)
+    cfg = ExperimentConfig(seed=5, dims=[2, 3], pq_pairs=[(1.5, 1.5), (3.0, 3.0)], trials=2)
+    rows = run_psumming_check(cfg)
+    instances = {(r.p, r.n, r.trial) for r in rows if r.metric == "satisfied_abs"}
+    assert len(instances) == 2 * 2 * 2  # every instance sampled, none rejected
+    assert len(calls) == 2 * len(instances)

@@ -1,11 +1,14 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig
+from doilab import schur
+from doilab.norms import EXACT, INF, LOWER_BOUND, NormEstimate, SearchConfig, opnorms
 from doilab.schur import (
     MultiplierMask,
     StaircaseDescriptor,
@@ -217,6 +220,101 @@ def test_multiplier_norm_pinned_values(p, q, n, value):
     M = np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :]))
     est = multiplier_norm(M, p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
     assert est.value == float.fromhex(value)
+
+
+# ------------------------------------- round ascent against the plain loop
+# The one-step-at-a-time ascent that the rounds replaced: multiplier_norm
+# must reproduce it bit for bit (value, witness bytes, method).
+
+
+def _ref_multiplier_norm(M, p, q, cfg):
+    """(estimate, accepted ascent steps) of the sequential ascent."""
+    maxmod = float(np.abs(M).max())
+    unit = np.zeros(M.shape, dtype=complex)
+    unit[np.unravel_index(int(np.abs(M).argmax()), M.shape)] = 1.0
+    best_val, best_S = maxmod, unit
+    rng = cfg.rng(0x5C42, M.shape[0], M.shape[1])
+    witnesses = [np.ones(M.shape), hilbert_type_witness(*M.shape)]
+    for _ in range(max(cfg.multistarts // 8, 1)):
+        witnesses.append(rng.standard_normal(M.shape))
+    ests = opnorms(witnesses + [schur_product(M, S) for S in witnesses], p, q, cfg)
+    for S, den, num in zip(witnesses, ests, ests[len(witnesses) :]):
+        r = num.value / den.value if den.value != 0.0 else 0.0
+        if r > best_val:
+            best_val, best_S = r, S
+    S = np.array(best_S, dtype=complex)
+    scale = max(np.abs(S).max(), 1.0)
+    accepted = []
+    for step in range(cfg.ascent_steps):
+        pert = np.array(S)
+        hits = rng.integers(0, S.size, size=max(S.size // 8, 1))
+        flat = pert.ravel()
+        flat[hits] += (rng.standard_normal(hits.size)) * 0.2 * scale
+        den, num = opnorms([pert, schur_product(M, pert)], p, q, cfg)
+        r = num.value / den.value if den.value != 0.0 else 0.0
+        if r > best_val:
+            best_val, best_S, S = r, pert, pert
+            accepted.append(step)
+    est = NormEstimate(float(best_val), LOWER_BOUND, np.asarray(best_S).ravel(), "ratio_ascent")
+    return est, accepted
+
+
+def _ascent_masks(n):
+    j = np.arange(n)
+    i = np.arange(n + 1)
+    return {
+        "staircase": standard_truncation_mask(n, n, n),
+        "sign": np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :])),
+        "sign_wide": np.sign(np.cos(0.9 * i[:, None] - 1.1 * j[None, :]) + 0.2),
+    }
+
+
+ASCENT_CFG = SearchConfig(multistarts=2, max_iter=50, seed=5)
+
+
+@functools.lru_cache(maxsize=None)
+def _ascent_reference(p, q, kind):
+    """{(n, ascent_steps): (reference estimate, accepted steps)}."""
+    out = {}
+    for n in (2, 4, 8, 16, 32):
+        M = _ascent_masks(n)[kind]
+        for steps in (0, 1, 5, 8, 9, 30):
+            out[n, steps] = _ref_multiplier_norm(M, p, q, replace(ASCENT_CFG, ascent_steps=steps))
+    return out
+
+
+PQ_ASCENT = [(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)]
+
+
+@pytest.mark.parametrize("kind", ["staircase", "sign", "sign_wide"])
+@pytest.mark.parametrize("p, q", PQ_ASCENT)
+def test_multiplier_norm_matches_sequential_ascent(p, q, kind):
+    for (n, steps), (ref, _) in _ascent_reference(p, q, kind).items():
+        M = _ascent_masks(n)[kind]
+        est = multiplier_norm(M, p, q, replace(ASCENT_CFG, ascent_steps=steps))
+        assert est.value == ref.value, (n, steps)
+        assert est.witness.tobytes() == ref.witness.tobytes(), (n, steps)
+        assert (est.certainty, est.method) == (ref.certainty, ref.method)
+
+
+def test_sequential_ascent_cases_cover_every_round_position():
+    # where each accepted step falls in the rounds of the block ascent:
+    # a round starts at step 0 and after each acceptance, and holds
+    # schur._ASCENT_ROUND steps or the steps left; the cases must accept
+    # inside a round, on the last step of a full round, and never
+    mid = last = never = False
+    for p, q in PQ_ASCENT:
+        for kind in ("staircase", "sign", "sign_wide"):
+            for (n, steps), (_, accepted) in _ascent_reference(p, q, kind).items():
+                never |= steps == 30 and not accepted
+                start = 0
+                for step in accepted:
+                    start += (step - start) // schur._ASCENT_ROUND * schur._ASCENT_ROUND
+                    end = start + schur._ASCENT_ROUND - 1  # a full round's last step
+                    mid |= start < step < min(end, steps - 1)
+                    last |= step == end
+                    start = step + 1
+    assert mid and last and never
 
 
 def test_multiplier_norm_column_repetition_invariance_exact_branch():
