@@ -53,13 +53,29 @@ def conjugate_exponent(p) -> float:
 def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
     """l_p norm of each row of a (k, n) array of moduli: the max modulus
     for p=inf, otherwise (sum a^p)^(1/p) with the row max scaled out to
-    avoid overflow for large p."""
+    avoid overflow and underflow, except at p=2 for rows whose plain sum
+    of squares is a finite normal number."""
     if p == INF:
         return a.max(axis=1)
     if p == 1.0:
         return a.sum(axis=1)
     if p == 2.0:
-        return np.sqrt((a * a).sum(axis=1))
+        with np.errstate(over="ignore"):
+            ss = (a * a).sum(axis=1)
+        out = np.sqrt(ss)
+        # a sum that overflowed, or fell below the normal range and lost
+        # bits (an all-zero row too), is recomputed with the max scaled out;
+        # a row with an infinite entry keeps its infinite norm
+        bad = [i for i, s in enumerate(ss.tolist()) if not _NORMAL <= s < INF and a[i].max() < INF]
+        if bad:
+            out[bad] = _scaled_row_norms(a[bad], p)
+        return out
+    return _scaled_row_norms(a, p)
+
+
+def _scaled_row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """(sum a^p)^(1/p) of each row of a, computed as m (sum (a/m)^p)^(1/p)
+    with m the row max."""
     # flooring the max at the least positive double changes no nonzero row
     # and makes an all-zero row come out 0 instead of 0/0
     m = np.maximum.reduce(a, axis=1, initial=_LEAST)
@@ -88,7 +104,6 @@ class SearchConfig:
     max_iter: int = 500
     tol: float = 1e-10
     seed: int = 0
-    exhaustive_cap: int = 12
     ascent_steps: int = 30
 
     def rng(self, *salt) -> np.random.Generator:
@@ -233,7 +248,9 @@ def power_iteration_pq(S, p, q, x0, tol=1e-10, max_iter=500):
 
 
 def _exact_p1(S: np.ndarray, q: float) -> NormEstimate:
-    vals = [vector_norm(S[:, k], q) for k in range(S.shape[1])]
+    # the rows of a contiguous array sum in the order vector_norm sums one
+    # column; a strided transpose sums in another and moves the last bit
+    vals = _row_norms(np.ascontiguousarray(np.abs(S).T), q)
     k = int(np.argmax(vals))
     w = np.zeros(S.shape[1], dtype=complex)
     w[k] = 1.0
@@ -259,8 +276,8 @@ def _lp_dual_witness(row: np.ndarray, p: float) -> np.ndarray:
 
 
 def _exact_qinf(S: np.ndarray, p: float) -> NormEstimate:
-    pstar = conjugate_exponent(p)
-    vals = [vector_norm(S[j, :], pstar) for j in range(S.shape[0])]
+    # contiguous for the summation order, as in _exact_p1 (S may be F-ordered)
+    vals = _row_norms(np.ascontiguousarray(np.abs(S)), conjugate_exponent(p))
     j = int(np.argmax(vals))
     w = _lp_dual_witness(S[j, :], p)
     return NormEstimate(float(vals[j]), EXACT, w, "exact:q=inf")

@@ -7,7 +7,7 @@ bound pi_p(f(B)S - Sf(A)) <= K_A K_B Lip(f) pi_p(BS - SA).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .spectral import DiagonalizableOperator, assemble, diagonalizability_consta
 @dataclass
 class PSummingContext:
     p: float
-    pstar: float = 0.0
+    pstar: float = field(init=False)
 
     def __post_init__(self):
         self.p = check_exponent(self.p)
@@ -74,13 +74,11 @@ def lipschitz_commutator_check(
     fs,
     lip: float,
     ctx: PSummingContext,
-    cfg: SearchConfig | None = None,
 ) -> list[dict]:
     """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B lip pi_p(BS - SA) for each f
     in fs, with K upper bounds; both pi_p values are exact entrywise
     norms. A acts on l_{p*}, B on l_p. K_A, K_B and pi_p(BS - SA) do not
     depend on f and are computed once; returns one result per f."""
-    cfg = cfg or SearchConfig()
     for f in fs:
         floor = sampled_lipschitz_floor(f, a, b)
         if lip < floor - 1e-12:
@@ -89,8 +87,8 @@ def lipschitz_commutator_check(
             )
     S = np.asarray(S, dtype=complex)
     rhs = pi_p_norm(assemble(b) @ S - S @ assemble(a), ctx)
-    k_a = diagonalizability_constant(a, ctx.pstar, cfg, max_sweeps=8).value
-    k_b = diagonalizability_constant(b, ctx.p, cfg, max_sweeps=8).value
+    k_a = diagonalizability_constant(a, ctx.pstar, max_sweeps=8).value
+    k_b = diagonalizability_constant(b, ctx.p, max_sweeps=8).value
     bound = k_a * k_b * lip * rhs
     results = []
     for f in fs:

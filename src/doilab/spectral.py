@@ -25,6 +25,9 @@ from .norms import (
 )
 
 _INV_TOL = 1e-9
+# spectral_constant tries every subset of up to this many distinct
+# eigenvalues, and 2**EXHAUSTIVE_CAP // 4 random subsets beyond
+EXHAUSTIVE_CAP = 12
 
 _max = np.maximum.reduce
 
@@ -127,12 +130,12 @@ def _distinct_eigenvalue_groups(op: DiagonalizableOperator):
 
 def spectral_constant(op: DiagonalizableOperator, p, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """max over spectrum subsets sigma of ||E(sigma)||_{p->p}; exhaustive
-    up to cfg.exhaustive_cap distinct eigenvalues, sampled beyond."""
+    up to EXHAUSTIVE_CAP distinct eigenvalues, sampled beyond."""
     p = check_exponent(p)
     cfg = cfg or SearchConfig()
     groups = _distinct_eigenvalue_groups(op)
     m = len(groups)
-    exhaustive = m <= cfg.exhaustive_cap
+    exhaustive = m <= EXHAUSTIVE_CAP
     best = 1.0  # sigma = full spectrum gives the identity
     best_arg = "full spectrum"
     all_exact = True
@@ -156,7 +159,7 @@ def spectral_constant(op: DiagonalizableOperator, p, cfg: SearchConfig | None = 
         certainty = EXACT if all_exact else LOWER_BOUND
     else:
         rng = cfg.rng(0x0537, op.n)
-        for _ in range(2**cfg.exhaustive_cap // 4):
+        for _ in range(2**EXHAUSTIVE_CAP // 4):
             mask = rng.random(m) < 0.5
             try_subset([g for g, keep in zip(groups, mask) if keep])
         certainty = LOWER_BOUND
@@ -268,20 +271,15 @@ def _scaling_argument(logd: np.ndarray) -> str:
     return f"diagonal scaling exp({np.round(logd, 6).tolist()})"
 
 
-def diagonalizability_constant(
-    op: DiagonalizableOperator,
-    p,
-    cfg: SearchConfig | None = None,
-    restarts: int = 2,
-    max_sweeps: int = 12,
-) -> ConstantEstimate:
+def diagonalizability_constant(op: DiagonalizableOperator, p, *, max_sweeps: int = 12) -> ConstantEstimate:
     """The infimum over positive diagonal rescalings D of U of
     ||DU|| ||U^{-1}D^{-1}|| on l_p, clipped below at 1.
 
     At p in {1, inf} this is the closed form || |U^{-1}||U| ||_p, attained
-    at the scaling of `_endpoint_scaling`, and the result is exact (the
-    search arguments are not used). At other p, a coordinate descent over
-    log D on a cheap surrogate picks candidate scalings, each scored with
+    at the scaling of `_endpoint_scaling`, and the result is exact. At
+    other p, a coordinate descent over log D on a cheap surrogate, of at
+    most `max_sweeps` sweeps from each of two starts (no scaling, and the
+    row equilibration of U), picks candidate scalings, each scored with
     the interpolation bound `opnorm_upper`; the result is an upper bound.
     """
     p = check_exponent(p)
@@ -289,25 +287,18 @@ def diagonalizability_constant(
         value = opnorm_upper(np.abs(op.u_inv) @ np.abs(op.u), p)
         logd = np.log(_endpoint_scaling(op, p))
         return ConstantEstimate(max(value, 1.0), EXACT, _scaling_argument(logd))
-    cfg = cfg or SearchConfig()
     n = op.n
-    rng = cfg.rng(0xD1A6, n)
-
-    starts = [np.zeros(n)]
-    # row equilibration of U is usually close to optimal
-    rn = np.abs(op.u).max(axis=1)
-    if np.all(rn > 0):
-        starts.append(-np.log(rn))
-    while len(starts) < max(restarts, 1):
-        starts.append(rng.standard_normal(n) * 0.5)
+    abs_u = np.abs(op.u)
+    abs_v_t = np.abs(op.u_inv).T.copy()
+    # two starts: no scaling, and the row equilibration of U, which is
+    # usually close to optimal (U is invertible, so no row of |U| is zero)
+    starts = [np.zeros(n), -np.log(abs_u.max(axis=1))]
 
     # Descend on the cheap surrogate objective, then score every candidate
     # point with the exact interpolation bound and keep the smallest; each
     # evaluation is a certified upper bound, so the minimum is too.
-    abs_u = np.abs(op.u)
-    abs_v_t = np.abs(op.u_inv).T.copy()
-    candidates = [logd0.copy() for logd0 in starts]
-    for logd in list(candidates):
+    descended = [logd0.copy() for logd0 in starts]
+    for logd in descended:
         h = 0.5
         for _ in range(max_sweeps):
             # fresh sums each sweep keep the rounding of the O(n) updates
@@ -330,10 +321,9 @@ def diagonalizability_constant(
                 if h < 2e-3:
                     break
                 h *= 0.5
-    candidates.extend(logd0.copy() for logd0 in starts)
     best_val = math.inf
     best_logd = np.zeros(n)
-    for logd in candidates:
+    for logd in descended + starts:
         val = _diag_scaling_objective(op, logd, p)
         if val < best_val:
             best_val = val

@@ -212,14 +212,14 @@ def test_criterion_8_constants_chain():
         op = DiagonalizableOperator(lam, u, np.linalg.inv(u))
         p = rng.choice([1.0, 1.5, 2.0, 3.0, INF])
         nu = spectral_constant(op, p, cfg).value
-        k = diagonalizability_constant(op, p, cfg).value
+        k = diagonalizability_constant(op, p).value
         assert nu <= k + 1e-9
     for seed in range(10):
         g = np.random.default_rng(seed).standard_normal((5, 5))
         qmat, _ = np.linalg.qr(g)
         op = DiagonalizableOperator.from_u(np.arange(5.0), qmat)
         assert spectral_constant(op, 2.0, cfg).value == pytest.approx(1.0, abs=1e-9)
-        assert diagonalizability_constant(op, 2.0, cfg).value == pytest.approx(1.0, abs=1e-9)
+        assert diagonalizability_constant(op, 2.0).value == pytest.approx(1.0, abs=1e-9)
     report(8, "nu-hat <= K-hat on 200 operators, normal instances give 1")
 
 

@@ -86,7 +86,7 @@ def test_doi_apply_consistency_with_diagonal_calculus():
 
 def test_commutator_identity_function_is_neutral():
     a, b, S = random_pair(2)
-    rep = commutator_transform(a, b, S, lambda t: t, 2, 2, diagonal=1.0)
+    [rep] = commutator_transform(a, b, S, [lambda t: t], 2, 2)
     assert rep.lhs_norm == pytest.approx(rep.rhs_norm, rel=1e-12)
     assert rep.ratio == pytest.approx(1.0, rel=1e-10)
     assert rep.identity_residual <= 1e-10
@@ -96,7 +96,7 @@ def test_commutator_normal_equal_operators_abs():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     a = DiagonalizableOperator.from_u(rng.uniform(-1, 1, 3), q)
-    rep = commutator_transform(a, a, np.eye(3), abs, 2, 2, diagonal=1.0)
+    [rep] = commutator_transform(a, a, np.eye(3), [abs], 2, 2)
     assert rep.lhs_norm <= 1e-12
 
 
@@ -105,28 +105,36 @@ def test_commutator_identity_residual_2x2():
     b = DiagonalizableOperator.diagonal([1.0, -1.0])
     rng = np.random.default_rng(4)
     S = rng.standard_normal((2, 2))
-    rep = commutator_transform(a, b, S, abs, 1, 2, diagonal=1.0)
+    [rep] = commutator_transform(a, b, S, [abs], 1, 2)
     assert rep.identity_residual <= 1e-10
     assert math.isfinite(rep.ratio)
 
 
 def test_commutator_report_invariants():
     a, b, S = random_pair(5)
-    rep = commutator_transform(a, b, S, abs, 2, 2, diagonal=1.0)
+    [rep] = commutator_transform(a, b, S, [abs], 2, 2)
     assert rep.lhs_norm >= 0 and rep.rhs_norm >= 0
     assert rep.identity_residual >= 0
     if rep.rhs_norm >= 1e-10:
         assert rep.ratio * rep.rhs_norm == pytest.approx(rep.lhs_norm, rel=1e-9)
-    assert set(rep.constants) == {"K_A", "K_B", "nu_A", "nu_B"}
     assert rep.norms_meta["lhs"] == "exact"
 
 
 def test_commutator_intertwining_flags_infinite_ratio():
     a = DiagonalizableOperator.diagonal([1.0, 2.0])
     b = DiagonalizableOperator.diagonal([1.0, 2.0])
-    rep = commutator_transform(a, b, np.eye(2), abs, 2, 2, with_constants=False)
+    [rep] = commutator_transform(a, b, np.eye(2), [abs], 2, 2)
     assert rep.rhs_norm <= 1e-14
     assert rep.ratio == math.inf
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 2.0), (3.0, 1.5)])
+def test_transform_of_several_functions_equals_one_function_transforms(p, q):
+    a, b, S = random_pair(3, n=5)
+    cfg = SearchConfig(multistarts=4, seed=9)
+    fs = (abs, lambda t: t, lambda t: np.sin(t))
+    reports = commutator_transform(a, b, S, fs, p, q, cfg)
+    assert reports == [commutator_transform(a, b, S, [f], p, q, cfg)[0] for f in fs]
 
 
 @settings(deadline=None, max_examples=30)
@@ -143,7 +151,7 @@ def test_identity_residual_with_collisions(seed):
     a = DiagonalizableOperator(lam, u, np.linalg.inv(u))
     b = DiagonalizableOperator(mu, v, np.linalg.inv(v))
     S = rng.standard_normal((n, n))
-    rep = commutator_transform(a, b, S, abs, 2, 2, diagonal=1.0, with_constants=False)
+    [rep] = commutator_transform(a, b, S, [abs], 2, 2)
     scale = 1.0 + np.abs(S).max()
     assert rep.identity_residual <= 1e-9 * scale
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from doilab import cli
+from doilab import cli, experiments
 from doilab.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -97,6 +97,22 @@ def test_commutator_ratios_identity_control_rows():
     assert ctrl and all(r.value == pytest.approx(1.0, rel=1e-9) for r in ctrl)
     norm = [r for r in rows if r.metric == "normalized_ratio"]
     assert norm and all(r.certainty == "exact" for r in norm)
+
+
+def test_commutator_ratios_one_transform_per_trial(monkeypatch):
+    calls, transform = [], experiments.commutator_transform
+
+    def counting(a, b, S, fs, *args):
+        calls.append(len(fs))
+        return transform(a, b, S, fs, *args)
+
+    monkeypatch.setattr(experiments, "commutator_transform", counting)
+    cfg = ExperimentConfig(seed=3, dims=[2, 3], pq_pairs=[(1.0, 2.0), (2.0, 2.0)], trials=3)
+    rows = run_commutator_ratios(cfg)
+    trials = sum(r.metric == "normalized_ratio" for r in rows)
+    assert trials == 12
+    # one call for abs and the identity per trial, one for abs per n at (2,2)
+    assert sorted(calls) == [1] * 2 + [2] * trials
 
 
 def test_commutator_ratios_adversarial_rows_only_at_22():

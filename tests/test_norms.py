@@ -79,6 +79,27 @@ def test_vector_norm_large_exponent_no_overflow():
     assert vector_norm(x, 100.0) == pytest.approx(2e200, rel=1e-6)
 
 
+def test_l2_norm_scales_out_overflow_and_underflow():
+    assert vector_norm([1e200, 1e200], 2) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert vector_norm([1e-200, 1e-200], 2) == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert vector_norm([5e-324], 2) == 5e-324
+    assert vector_norm([0.0, 0.0], 2) == 0.0
+    assert vector_norm([math.inf, 1.0], 2) == math.inf
+    est = opnorm(np.diag([1e200, 1.0]), 1, 2)
+    assert (est.value, est.certainty) == (1e200, EXACT)
+    # rows whose sum of squares is a finite normal number keep its bits
+    a = np.abs(np.random.default_rng(0).standard_normal((6, 7)))
+    a[1] *= 1e200
+    a[3] *= 1e-200
+    a[5] = 0.0
+    got = norms._row_norms(a, 2.0)
+    plain = [0, 2, 4]
+    assert got[plain].tobytes() == np.sqrt((a[plain] * a[plain]).sum(axis=1)).tobytes()
+    for i in (1, 3):
+        assert got[i] == pytest.approx(np.linalg.norm(a[i] / a[i].max()) * a[i].max(), rel=1e-15)
+    assert got[5] == 0.0
+
+
 @given(
     x=st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=6),
     p=FINITE_P,
@@ -117,6 +138,50 @@ def test_opnorm_diag_1_4():
     est = opnorm([[2, 0], [0, 3]], 1, 4)
     assert est.value == pytest.approx(3.0)
     assert est.certainty == EXACT
+
+
+def _loop_exact_p1(S, q):
+    """The per-column loop of the p=1 branch before it became one call."""
+    vals = [vector_norm(S[:, k], q) for k in range(S.shape[1])]
+    k = int(np.argmax(vals))
+    w = np.zeros(S.shape[1], dtype=complex)
+    w[k] = 1.0
+    return float(vals[k]), w
+
+
+def _loop_exact_qinf(S, p):
+    """The per-row loop of the q=inf branch before it became one call."""
+    vals = [vector_norm(S[j, :], conjugate_exponent(p)) for j in range(S.shape[0])]
+    j = int(np.argmax(vals))
+    return float(vals[j]), norms._lp_dual_witness(S[j, :], p)
+
+
+def _exact_branch_cases():
+    rng = np.random.default_rng(21)
+    for m, n in [(1, 1), (3, 3), (4, 9), (9, 4), (17, 16), (33, 40)]:
+        for complex_entries in (False, True):
+            S = rng.standard_normal((m, n))
+            if complex_entries:
+                S = S + 1j * rng.standard_normal((m, n))
+            if n > 1:
+                S[:, n // 2] = 0.0  # a zero column
+            for scale in (1.0, 1e150, 1e-150):
+                yield S * scale
+                yield np.asfortranarray(S * scale)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.1, 1.5, 2.0, 3.0, 7.0, INF])
+def test_exact_branches_match_loops_bit_for_bit(r):
+    for S in _exact_branch_cases():
+        Sc = np.asarray(S, dtype=complex)
+        est = opnorm(S, 1.0, r)
+        value, w = _loop_exact_p1(Sc, r)
+        assert (est.value, est.witness.tobytes()) == (value, w.tobytes())
+        if r == 1.0:
+            continue  # opnorm(S, 1, inf) takes the p=1 branch
+        est = opnorm(S, r, INF)
+        value, w = _loop_exact_qinf(Sc, r)
+        assert (est.value, est.witness.tobytes()) == (value, w.tobytes())
 
 
 def test_opnorm_rejects_empty_and_nonfinite():
@@ -207,7 +272,9 @@ def _ref_norm(x, p):
     if p == 1.0:
         return float(a.sum())
     if p == 2.0:
-        return float(np.sqrt((a * a).sum()))
+        ss = (a * a).sum()
+        if 2.0**-1022 <= ss < INF:  # otherwise the max is scaled out below
+            return float(np.sqrt(ss))
     m = a.max()
     if m == 0.0:
         return 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from doilab import psumming
 from doilab.experiments import ExperimentConfig, run_psumming_check
-from doilab.norms import INF, SearchConfig
+from doilab.norms import INF
 from doilab.psumming import (
     PSummingContext,
     lipschitz_commutator_check,
@@ -193,8 +193,7 @@ def test_check_rejects_lip_below_sampled_floor():
 def test_check_random_instances_satisfied(seed, p):
     a, b, S = random_pair(seed)
     ctx = PSummingContext(p)
-    cfg = SearchConfig(multistarts=4)
-    for res in lipschitz_commutator_check(a, b, S, (abs, lambda t: t), 1.0, ctx, cfg):
+    for res in lipschitz_commutator_check(a, b, S, (abs, lambda t: t), 1.0, ctx):
         assert res["satisfied"]
 
 
@@ -202,10 +201,9 @@ def test_check_random_instances_satisfied(seed, p):
 def test_check_of_several_functions_equals_one_function_checks(p):
     a, b, S = random_pair(3, n=5)
     ctx = PSummingContext(p)
-    cfg = SearchConfig(multistarts=4, seed=9)
     fs = (abs, lambda t: t, lambda t: np.sin(t))
-    results = lipschitz_commutator_check(a, b, S, fs, 1.0, ctx, cfg)
-    assert results == [lipschitz_commutator_check(a, b, S, [f], 1.0, ctx, cfg)[0] for f in fs]
+    results = lipschitz_commutator_check(a, b, S, fs, 1.0, ctx)
+    assert results == [lipschitz_commutator_check(a, b, S, [f], 1.0, ctx)[0] for f in fs]
 
 
 def test_psumming_check_computes_each_k_once_per_instance(monkeypatch):

@@ -193,7 +193,7 @@ def test_nu_below_k(seed, p):
     op = random_operator(seed)
     cfg = SearchConfig(multistarts=6)
     nu = spectral_constant(op, p, cfg).value
-    k = diagonalizability_constant(op, p, cfg).value
+    k = diagonalizability_constant(op, p).value
     assert nu <= k + 1e-9
 
 
