@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .norms import EXACT, INF, SearchConfig, opnorm, opnorm_upper
+from .norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm, opnorm_upper
 from .schur import abs_divided_difference, multiplier_norm, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant
 from .doi import commutator_transform
@@ -282,10 +282,12 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
                     )
                     continue
                 S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                k_a = diagonalizability_constant(a, p, max_sweeps=6).value
-                k_b = diagonalizability_constant(b, q, max_sweeps=6).value
+                k_a = diagonalizability_constant(a, p)
+                k_b = diagonalizability_constant(b, q)
                 rep, ctrl = commutator_transform(a, b, S, [abs, lambda t: t], p, q, search)
-                certainty = EXACT if exact_pair else "lower_bound"
+                certainty = EXACT if exact_pair else LOWER_BOUND
+                # dividing by a K that is only an upper bound gives a lower bound
+                norm_cert = certainty if k_a.certainty == k_b.certainty == EXACT else LOWER_BOUND
                 # The random witness concentrates below the extremal ratio as
                 # n grows; the single-entry witness S = V^{-1}(C/(mu-lambda))U
                 # with C a unit matrix at argmax|phi| achieves the ratio
@@ -293,9 +295,9 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
                 # of the two.
                 phi = np.abs(abs_divided_difference(a.lambdas, b.lambdas))
                 phi[b.lambdas[:, None] == a.lambdas[None, :]] = 0.0  # no witness there
-                norm_ratio = max(rep.ratio, float(phi.max())) / (k_a * k_b)
+                norm_ratio = max(rep.ratio, float(phi.max())) / (k_a.value * k_b.value)
                 rows.append(
-                    ResultRow(label, n, p, q, trial, "normalized_ratio", norm_ratio, certainty, seed_used)
+                    ResultRow(label, n, p, q, trial, "normalized_ratio", norm_ratio, norm_cert, seed_used)
                 )
                 rows.append(
                     ResultRow(label, n, p, q, trial, "identity_ratio", ctrl.ratio, certainty, seed_used)
@@ -383,11 +385,13 @@ def run_psumming_check(cfg: ExperimentConfig) -> list:
                             },
                         )
                     tight = res["lhs"] / res["bound"] if res["bound"] > 0 else 0.0
+                    # lhs over an upper bound on the bound is a lower bound
+                    tight_cert = EXACT if res["bound_certainty"] == EXACT else LOWER_BOUND
                     rows.append(
                         ResultRow(label, n, p, p, trial, f"satisfied_{tag}", 1.0, "exact", seed_used)
                     )
                     rows.append(
-                        ResultRow(label, n, p, p, trial, f"tightness_{tag}", tight, "exact", seed_used)
+                        ResultRow(label, n, p, p, trial, f"tightness_{tag}", tight, tight_cert, seed_used)
                     )
     return _sort_rows(rows)
 

@@ -75,10 +75,15 @@ def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
 
 def _scaled_row_norms(a: np.ndarray, p: float) -> np.ndarray:
     """(sum a^p)^(1/p) of each row of a, computed as m (sum (a/m)^p)^(1/p)
-    with m the row max."""
+    with m the row max; inf for a row with an infinite entry."""
     # flooring the max at the least positive double changes no nonzero row
     # and makes an all-zero row come out 0 instead of 0/0
     m = np.maximum.reduce(a, axis=1, initial=_LEAST)
+    inf_rows = m == INF
+    if inf_rows.any():  # scaling by an infinite max would give inf/inf
+        out = np.full(len(a), INF)
+        out[~inf_rows] = _scaled_row_norms(a[~inf_rows], p)
+        return out
     sums = ((a / m[:, None]) ** p).sum(axis=1)
     # The root is taken with the C library's scalar pow: numpy's SIMD power
     # differs from it in the last bit for some inputs, and reported values

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import INF, SearchConfig, check_exponent, conjugate_exponent, opnorm, vector_norm
+from .norms import EXACT, INF, UPPER_BOUND, SearchConfig, check_exponent, conjugate_exponent, opnorm, vector_norm
 from .schur import divided_difference_matrix
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 
@@ -78,7 +78,8 @@ def lipschitz_commutator_check(
     """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B lip pi_p(BS - SA) for each f
     in fs, with K upper bounds; both pi_p values are exact entrywise
     norms. A acts on l_{p*}, B on l_p. K_A, K_B and pi_p(BS - SA) do not
-    depend on f and are computed once; returns one result per f."""
+    depend on f and are computed once; returns one result per f. Its
+    `bound_certainty` is `exact` when both K are, else `upper_bound`."""
     for f in fs:
         floor = sampled_lipschitz_floor(f, a, b)
         if lip < floor - 1e-12:
@@ -87,9 +88,10 @@ def lipschitz_commutator_check(
             )
     S = np.asarray(S, dtype=complex)
     rhs = pi_p_norm(assemble(b) @ S - S @ assemble(a), ctx)
-    k_a = diagonalizability_constant(a, ctx.pstar, max_sweeps=8).value
-    k_b = diagonalizability_constant(b, ctx.p, max_sweeps=8).value
-    bound = k_a * k_b * lip * rhs
+    k_a = diagonalizability_constant(a, ctx.pstar)
+    k_b = diagonalizability_constant(b, ctx.p)
+    bound = k_a.value * k_b.value * lip * rhs
+    bound_certainty = EXACT if k_a.certainty == k_b.certainty == EXACT else UPPER_BOUND
     results = []
     for f in fs:
         lhs = pi_p_norm(functional_calculus(b, f) @ S - S @ functional_calculus(a, f), ctx)
@@ -97,8 +99,9 @@ def lipschitz_commutator_check(
             "lhs": lhs,
             "rhs": rhs,
             "bound": bound,
-            "K_A": k_a,
-            "K_B": k_b,
+            "K_A": k_a.value,
+            "K_B": k_b.value,
+            "bound_certainty": bound_certainty,
             "satisfied": lhs <= bound + 1e-9 * (1.0 + bound),
         })
     return results

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .norms import (
     EXACT,
@@ -21,15 +22,17 @@ from .norms import (
     check_exponent,
     opnorm,
     opnorm_upper,
-    riesz_thorin,
 )
 
 _INV_TOL = 1e-9
 # spectral_constant tries every subset of up to this many distinct
 # eigenvalues, and 2**EXHAUSTIVE_CAP // 4 random subsets beyond
 EXHAUSTIVE_CAP = 12
-
-_max = np.maximum.reduce
+# Interior-p K: the temperature of the log-sum-exp that smooths each max in
+# the bound L-BFGS-B minimizes, and L-BFGS-B's stopping tolerances
+_SMOOTHING = 0.01
+_FTOL = 1e-4
+_GTOL = 1e-6
 
 
 @dataclass
@@ -166,86 +169,6 @@ def spectral_constant(op: DiagonalizableOperator, p, cfg: SearchConfig | None = 
     return ConstantEstimate(best, certainty, best_arg)
 
 
-class _ScalingSums:
-    """Column and row sums of |DU| and of |U^{-1}D^{-1}| for D = diag(exp(logd)),
-    and the surrogate objective they give at exponent p.
-
-    Moving one d_i rescales entry i of the row sums of |DU| (`u_row`) and of
-    the column sums of |U^{-1}D^{-1}| (`v_col`), and adds a multiple of row
-    i of |U| to the column sums of |DU| (`u_col`) and of column i of |U^{-1}|
-    to the row sums of |U^{-1}D^{-1}| (`v_row`), so a probe costs O(n)
-    instead of the O(n^2) of rebuilding both matrices.
-    """
-
-    def __init__(self, abs_u: np.ndarray, abs_v_t: np.ndarray, logd: np.ndarray, p: float):
-        # abs_v_t is |U^{-1}| transposed, so that its column i is a contiguous row
-        self.p = p
-        self.u_rows = list(abs_u)
-        self.v_cols = list(abs_v_t)
-        u_rowsum = abs_u.sum(axis=1)
-        v_colsum = abs_v_t.sum(axis=1)
-        d = np.exp(logd)
-        self.u_rowsum = u_rowsum.tolist()
-        self.v_colsum = v_colsum.tolist()
-        self.d = d.tolist()
-        self.u_col = d @ abs_u
-        self.v_row = (1.0 / d) @ abs_v_t
-        # u_row and v_col change in one entry per move; as lists with their
-        # two largest entries, the max after a move costs O(1)
-        self.u_row = (d * u_rowsum).tolist()
-        self.v_col = (v_colsum / d).tolist()
-        self._u_row_top = _top2(self.u_row)
-        self._v_col_top = _top2(self.v_col)
-
-    def value(self) -> float:
-        return _surrogate(
-            float(_max(self.u_col)), self._u_row_top[0], self._v_col_top[0], float(_max(self.v_row)), self.p
-        )
-
-    def probe(self, i: int, di: float) -> float:
-        """The surrogate objective with d_i replaced by di; commit() makes the move."""
-        self._u_col = self.u_col + (di - self.d[i]) * self.u_rows[i]
-        self._v_row = self.v_row + (1.0 / di - 1.0 / self.d[i]) * self.v_cols[i]
-        return _surrogate(
-            float(_max(self._u_col)),
-            max(di * self.u_rowsum[i], _max_without(self.u_row, self._u_row_top, i)),
-            max(self.v_colsum[i] / di, _max_without(self.v_col, self._v_col_top, i)),
-            float(_max(self._v_row)),
-            self.p,
-        )
-
-    def commit(self, i: int, di: float):
-        """Make the move of the last probe, which was of d_i = di."""
-        self.d[i] = di
-        self.u_col = self._u_col
-        self.v_row = self._v_row
-        self.u_row[i] = di * self.u_rowsum[i]
-        self.v_col[i] = self.v_colsum[i] / di
-        self._u_row_top = _top2(self.u_row)
-        self._v_col_top = _top2(self.v_col)
-
-
-def _top2(values: list) -> tuple:
-    """The two largest of nonnegative values; 0 stands in for the second of one value."""
-    top = sorted(values)[-2:]
-    return (top[-1], top[0] if len(top) == 2 else 0.0)
-
-
-def _max_without(values: list, top2: tuple, i: int) -> float:
-    """max of values over the indices other than i, given their two largest."""
-    return top2[0] if values[i] < top2[0] else top2[1]
-
-
-def _surrogate(u_n1: float, u_ninf: float, v_n1: float, v_ninf: float, p: float) -> float:
-    """The interpolation bound on ||DU|| ||U^{-1}D^{-1}|| from the largest
-    column (n1) and row (ninf) sums of |DU| (u) and |U^{-1}D^{-1}| (v), with
-    the Schur test sqrt(n1 ninf) in place of the largest singular value;
-    crude but cheap and still an upper bound, used only to steer the descent."""
-    return riesz_thorin(u_n1, math.sqrt(u_n1 * u_ninf), u_ninf, p) * riesz_thorin(
-        v_n1, math.sqrt(v_n1 * v_ninf), v_ninf, p
-    )
-
-
 def _diag_scaling_objective(op: DiagonalizableOperator, logd: np.ndarray, p: float) -> float:
     d = np.exp(logd)
     return opnorm_upper(d[:, None] * op.u, p) * opnorm_upper(op.u_inv / d[None, :], p)
@@ -271,62 +194,88 @@ def _scaling_argument(logd: np.ndarray) -> str:
     return f"diagonal scaling exp({np.round(logd, 6).tolist()})"
 
 
-def diagonalizability_constant(op: DiagonalizableOperator, p, *, max_sweeps: int = 12) -> ConstantEstimate:
+def _smooth_max(z: np.ndarray) -> tuple:
+    """The log-sum-exp upper bound on max(z) at temperature _SMOOTHING, and
+    its gradient in z."""
+    z = z / _SMOOTHING
+    top = z.max()
+    e = np.exp(z - top)
+    total = e.sum()
+    return _SMOOTHING * (top + math.log(total)), e / total
+
+
+def _smoothed_log_bound(op: DiagonalizableOperator, p: float):
+    """x -> (value, gradient) of the log of the bound that
+    `_diag_scaling_objective` scores at log d = t = (0, x), each max in it
+    smoothed by `_smooth_max`; the bound does not change under D -> cD, so
+    t_0 is held at 0.
+
+    At p <= 2 the bound on ||DW|| ||W^{-1}D^{-1}||, with W = U, is
+    (||DW||_1 ||W^{-1}D^{-1}||_1)^c (||DW||_2 ||W^{-1}D^{-1}||_2)^(1-c) for
+    c = 2/p - 1. At p > 2 it is the same at p* for W = U^{-T} and D^{-1},
+    as ||M||_p = ||M^T||_{p*}.
+    """
+    w, w_inv, sign = (op.u, op.u_inv, 1.0) if p <= 2.0 else (op.u_inv.T, op.u.T, -1.0)
+    c = abs(2.0 / p - 1.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a sum
+        log_abs_w = np.log(np.abs(w))
+    log_inv_cols = np.log(np.abs(w_inv).sum(axis=0))
+
+    def f(x):
+        t = sign * np.concatenate(([0.0], x))
+        # ||W^{-1}D^{-1}||_2 = 1 / sigma_min(DW), so one SVD gives both
+        # 2-norms, and d log sigma / dt_i = |y_i|^2 for its left vector y
+        y, s, _ = np.linalg.svd(np.exp(t - t.max())[:, None] * w)
+        value = (1.0 - c) * math.log(s[0] / s[-1])
+        grad = (1.0 - c) * (np.abs(y[:, 0]) ** 2 - np.abs(y[:, -1]) ** 2)
+        if c:
+            # column j of |DW| sums to the log-sum-exp of t_i + log|w_ij|
+            terms = t[:, None] + log_abs_w
+            top = terms.max(axis=0)
+            e = np.exp(terms - top)
+            sums = e.sum(axis=0)
+            m1, g1 = _smooth_max(top + np.log(sums))
+            # and column j of |W^{-1}D^{-1}| to e^{-t_j} times that of |W^{-1}|
+            m2, g2 = _smooth_max(log_inv_cols - t)
+            value += c * (m1 + m2)
+            grad += c * (e @ (g1 / sums) - g2)
+        return value, sign * grad[1:]
+
+    return f
+
+
+def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimate:
     """The infimum over positive diagonal rescalings D of U of
     ||DU|| ||U^{-1}D^{-1}|| on l_p, clipped below at 1.
 
     At p in {1, inf} this is the closed form || |U^{-1}||U| ||_p, attained
-    at the scaling of `_endpoint_scaling`, and the result is exact. At
-    other p, a coordinate descent over log D on a cheap surrogate, of at
-    most `max_sweeps` sweeps from each of two starts (no scaling, and the
-    row equilibration of U), picks candidate scalings, each scored with
-    the interpolation bound `opnorm_upper`; the result is an upper bound.
+    at the scaling of `_endpoint_scaling`, and the result is exact; so is
+    K = 1 at n = 1. At other p, the log of the interpolation bound
+    `opnorm_upper(DU) opnorm_upper(U^{-1}D^{-1})` is convex in log D (Braatz
+    and Morari, SIAM J. Control Optim. 32, 1994). L-BFGS-B minimizes it,
+    with each max over columns or rows smoothed, from the better of two
+    starts: no scaling, and the row equilibration of U. The point where it
+    stops is scored with the exact bound, and the best-scoring of it and
+    the starts is returned. Its scaling, in `argument`, is the certificate
+    of the result, an upper bound.
     """
     p = check_exponent(p)
     if p == 1.0 or p == INF:
         value = opnorm_upper(np.abs(op.u_inv) @ np.abs(op.u), p)
         logd = np.log(_endpoint_scaling(op, p))
         return ConstantEstimate(max(value, 1.0), EXACT, _scaling_argument(logd))
-    n = op.n
-    abs_u = np.abs(op.u)
-    abs_v_t = np.abs(op.u_inv).T.copy()
-    # two starts: no scaling, and the row equilibration of U, which is
-    # usually close to optimal (U is invertible, so no row of |U| is zero)
-    starts = [np.zeros(n), -np.log(abs_u.max(axis=1))]
-
-    # Descend on the cheap surrogate objective, then score every candidate
-    # point with the exact interpolation bound and keep the smallest; each
-    # evaluation is a certified upper bound, so the minimum is too.
-    descended = [logd0.copy() for logd0 in starts]
-    for logd in descended:
-        h = 0.5
-        for _ in range(max_sweeps):
-            # fresh sums each sweep keep the rounding of the O(n) updates
-            # from accumulating across sweeps
-            sums = _ScalingSums(abs_u, abs_v_t, logd, p)
-            val = sums.value()
-            improved = False
-            for i in range(n):
-                for step in (h, -h):
-                    logd[i] += step
-                    di = math.exp(logd[i])
-                    cand = sums.probe(i, di)
-                    if cand < val - 1e-12:
-                        val = cand
-                        improved = True
-                        sums.commit(i, di)
-                    else:
-                        logd[i] -= step
-            if not improved:
-                if h < 2e-3:
-                    break
-                h *= 0.5
-    best_val = math.inf
-    best_logd = np.zeros(n)
-    for logd in descended + starts:
-        val = _diag_scaling_objective(op, logd, p)
-        if val < best_val:
-            best_val = val
-            best_logd = logd
-    best_val = max(best_val, 1.0)  # K_A >= 1 always; clip numerical dust
-    return ConstantEstimate(float(best_val), UPPER_BOUND, _scaling_argument(best_logd))
+    if op.n == 1:
+        return ConstantEstimate(1.0, EXACT, _scaling_argument(np.zeros(1)))
+    # U is invertible, so no row of |U| is zero
+    points = [np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))]
+    scores = [_diag_scaling_objective(op, logd, p) for logd in points]
+    start = points[int(np.argmin(scores))]
+    res = minimize(
+        _smoothed_log_bound(op, p), (start - start[0])[1:], jac=True, method="L-BFGS-B",
+        options={"ftol": _FTOL, "gtol": _GTOL},
+    )
+    points.append(np.concatenate(([0.0], res.x)))
+    scores.append(_diag_scaling_objective(op, points[-1], p))
+    best = int(np.argmin(scores))
+    # every score is a certified upper bound; K >= 1 clips numerical dust
+    return ConstantEstimate(max(scores[best], 1.0), UPPER_BOUND, _scaling_argument(points[best]))

@@ -91,12 +91,18 @@ def test_truncation_growth_emits_fits_and_exact_rows():
 
 
 def test_commutator_ratios_identity_control_rows():
-    cfg = ExperimentConfig(seed=3, dims=[3], pq_pairs=[(1.0, 2.0)], trials=3)
+    cfg = ExperimentConfig(seed=3, dims=[3], pq_pairs=[(1.0, 2.0), (1.0, INF)], trials=3)
     rows = run_commutator_ratios(cfg)
     ctrl = [r for r in rows if r.metric == "identity_ratio"]
-    assert ctrl and all(r.value == pytest.approx(1.0, rel=1e-9) for r in ctrl)
-    norm = [r for r in rows if r.metric == "normalized_ratio"]
-    assert norm and all(r.certainty == "exact" for r in norm)
+    assert len(ctrl) == 6 and all(r.value == pytest.approx(1.0, rel=1e-9) for r in ctrl)
+    assert all(r.certainty == "exact" for r in ctrl)
+    # at (1, 2) the ratio is divided by K_B at p = 2, an upper bound; at
+    # (1, inf) both K are exact
+    norm = {r.q: [] for r in rows}
+    for r in rows:
+        if r.metric == "normalized_ratio":
+            norm[r.q].append(r.certainty)
+    assert norm == {2.0: ["lower_bound"] * 3, INF: ["exact"] * 3}
 
 
 def test_commutator_ratios_one_transform_per_trial(monkeypatch):
@@ -137,6 +143,8 @@ def test_psumming_check_all_satisfied():
     assert sat and all(r.value == 1.0 for r in sat)
     tight = [r for r in rows if r.metric.startswith("tightness")]
     assert all(0.0 <= r.value <= 1.0 + 1e-9 for r in tight)
+    # divided by a bound built from interior-p K upper bounds
+    assert tight and all(r.certainty == "lower_bound" for r in tight)
 
 
 def test_doi_identity_runs_clean():

@@ -84,7 +84,8 @@ def test_l2_norm_scales_out_overflow_and_underflow():
     assert vector_norm([1e-200, 1e-200], 2) == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
     assert vector_norm([5e-324], 2) == 5e-324
     assert vector_norm([0.0, 0.0], 2) == 0.0
-    assert vector_norm([math.inf, 1.0], 2) == math.inf
+    for p in (1.5, 2, 3):
+        assert vector_norm([math.inf, 1.0], p) == math.inf
     est = opnorm(np.diag([1e200, 1.0]), 1, 2)
     assert (est.value, est.certainty) == (1e200, EXACT)
     # rows whose sum of squares is a finite normal number keep its bits
