@@ -23,7 +23,6 @@ from .spectral import (
     spectral_projection,
 )
 from .schur import (
-    MultiplierMask,
     StaircaseDescriptor,
     abs_divided_difference,
     canonicalize_mask,

@@ -263,15 +263,11 @@ def _exact_p1(S: np.ndarray, q: float) -> NormEstimate:
 
 
 def _lp_dual_witness(row: np.ndarray, p: float) -> np.ndarray:
-    """Unit l_p vector x maximizing |<row, x>|, i.e. achieving ||row||_{p*}."""
+    """Unit l_p vector x maximizing |<row, x>|, i.e. achieving ||row||_{p*},
+    for 1 < p <= inf (`opnorms` takes p = 1 to the p=1 branch)."""
     if not np.any(row):
         x = np.zeros_like(row, dtype=complex)
         x[0] = 1.0
-        return x
-    if p == 1.0:
-        k = int(np.argmax(np.abs(row)))
-        x = np.zeros_like(row, dtype=complex)
-        x[k] = dual_map(row[k : k + 1], 1.0)[0]
         return x
     if p == INF:
         return dual_map(row, 1.0)

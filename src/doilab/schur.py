@@ -113,37 +113,19 @@ class StaircaseDescriptor:
 def canonicalize_mask(lambdas, mus) -> StaircaseDescriptor:
     """Reduce the {mu_k <= lambda_j} mask to the standard truncation
     pattern of minimal size N by sorting and merging duplicate rows and
-    columns. Rows of the mask are nested (each is an up-set of lambda),
-    which makes the rank assignment exact."""
+    columns. Rows of the mask are nested (each is an up-set of lambda), so
+    a row is determined by its number of ones: its rank among the distinct
+    nonzero counts, largest first, is its staircase row, and column j lies
+    in as many distinct rows as there are distinct counts covering it."""
     lambdas = np.asarray(lambdas, dtype=float).ravel()
     mus = np.asarray(mus, dtype=float).ravel()
     mask = mus[:, None] <= lambdas[None, :]
-    n_rows, n_cols = mask.shape
-
-    # distinct nonzero row patterns, ordered by decreasing number of ones
-    patterns: dict[bytes, int] = {}
-    for k in range(n_rows):
-        key = mask[k].tobytes()
-        if mask[k].any():
-            patterns.setdefault(key, int(mask[k].sum()))
-    ordered = sorted(patterns, key=lambda key: -patterns[key])
-    rank_of = {key: r + 1 for r, key in enumerate(ordered)}
-    R = len(ordered)
-
-    has_zero_row = any(not mask[k].any() for k in range(n_rows))
-    N = R + 1 if has_zero_row else max(R, 1)
-
-    row_map = []
-    for k in range(n_rows):
-        if mask[k].any():
-            row_map.append(rank_of[mask[k].tobytes()])
-        else:
-            row_map.append(N)  # below every column rank
-    col_map = []
-    pattern_rows = [np.frombuffer(key, dtype=bool) for key in ordered]
-    for j in range(n_cols):
-        covering = [r + 1 for r, row in enumerate(pattern_rows) if row[j]]
-        col_map.append(max(covering) if covering else None)
+    counts = mask.sum(axis=1).tolist()
+    rank_of = {c: r + 1 for r, c in enumerate(sorted({c for c in counts if c}, reverse=True))}
+    R = len(rank_of)
+    N = R + 1 if 0 in counts else max(R, 1)
+    row_map = [rank_of.get(c, N) for c in counts]  # a zero row sits below every column rank
+    col_map = [len({c for c, hit in zip(counts, col) if hit}) or None for col in mask.T.tolist()]
     return StaircaseDescriptor(N, row_map, col_map)
 
 
@@ -174,18 +156,6 @@ def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
 _ASCENT_ROUND = 8
 
 
-@dataclass
-class MultiplierMask:
-    m: np.ndarray
-    row_labels: np.ndarray | None = None
-    col_labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m)
-        if not np.all(np.isfinite(self.m)):
-            raise ValueError("mask entries must be finite")
-
-
 def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     """Norm of S -> M * S on L(l_p, l_q). Exact (max modulus) for p=1 or
     q=inf; otherwise the best of the max-modulus floor and ratio ascent
@@ -201,13 +171,13 @@ def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     the path of a single-start iteration, so the result equals that of
     accepting the steps one at a time.
     """
-    if isinstance(M, MultiplierMask):
-        M = M.m
     M = np.asarray(M)
     p = check_exponent(p)
     q = check_exponent(q)
     if M.size == 0:
         raise ValueError("empty mask")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("mask entries must be finite")
     maxmod = float(np.abs(M).max())
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)

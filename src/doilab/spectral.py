@@ -20,14 +20,18 @@ from .norms import (
     UPPER_BOUND,
     SearchConfig,
     check_exponent,
-    opnorm,
     opnorm_upper,
+    opnorms,
 )
 
 _INV_TOL = 1e-9
 # spectral_constant tries every subset of up to this many distinct
 # eigenvalues, and 2**EXHAUSTIVE_CAP // 4 random subsets beyond
 EXHAUSTIVE_CAP = 12
+# spectral_constant estimates the projections of this many subsets in one
+# `opnorms` block; the block's matrices are held at once, so the size
+# bounds peak memory
+_SUBSET_BLOCK = 64
 # Interior-p K: the temperature of the log-sum-exp that smooths each max in
 # the bound L-BFGS-B minimizes, and L-BFGS-B's stopping tolerances
 _SMOOTHING = 0.01
@@ -133,40 +137,31 @@ def _distinct_eigenvalue_groups(op: DiagonalizableOperator):
 
 def spectral_constant(op: DiagonalizableOperator, p, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """max over spectrum subsets sigma of ||E(sigma)||_{p->p}; exhaustive
-    up to EXHAUSTIVE_CAP distinct eigenvalues, sampled beyond."""
+    up to EXHAUSTIVE_CAP distinct eigenvalues, sampled beyond. The
+    projections are estimated in `opnorms` blocks of _SUBSET_BLOCK."""
     p = check_exponent(p)
     cfg = cfg or SearchConfig()
     groups = _distinct_eigenvalue_groups(op)
     m = len(groups)
     exhaustive = m <= EXHAUSTIVE_CAP
-    best = 1.0  # sigma = full spectrum gives the identity
-    best_arg = "full spectrum"
-    all_exact = True
-
-    def try_subset(mask_groups):
-        nonlocal best, best_arg, all_exact
-        idx = [i for g in mask_groups for i in g]
-        if not idx or len(idx) == op.n:
-            return
-        est = opnorm(spectral_projection(op, idx), p, p, cfg)
-        if est.certainty != EXACT:
-            all_exact = False
-        if est.value > best:
-            best = est.value
-            best_arg = f"indices {sorted(idx)}"
-
     if exhaustive:
-        for r in range(1, m):
-            for combo in itertools.combinations(groups, r):
-                try_subset(combo)
-        certainty = EXACT if all_exact else LOWER_BOUND
+        subsets = [c for r in range(1, m) for c in itertools.combinations(groups, r)]
     else:
         rng = cfg.rng(0x0537, op.n)
-        for _ in range(2**EXHAUSTIVE_CAP // 4):
-            mask = rng.random(m) < 0.5
-            try_subset([g for g, keep in zip(groups, mask) if keep])
-        certainty = LOWER_BOUND
-    return ConstantEstimate(best, certainty, best_arg)
+        subsets = [
+            [g for g, keep in zip(groups, rng.random(m) < 0.5) if keep]
+            for _ in range(2**EXHAUSTIVE_CAP // 4)
+        ]
+    # sigma = the full spectrum gives the identity, and the empty set 0
+    sigmas = [idx for idx in ([i for g in s for i in g] for s in subsets) if 0 < len(idx) < op.n]
+    best, best_arg, all_exact = 1.0, "full spectrum", True
+    for start in range(0, len(sigmas), _SUBSET_BLOCK):
+        block = sigmas[start : start + _SUBSET_BLOCK]
+        for idx, est in zip(block, opnorms([spectral_projection(op, idx) for idx in block], p, p, cfg)):
+            all_exact &= est.certainty == EXACT
+            if est.value > best:
+                best, best_arg = est.value, f"indices {sorted(idx)}"
+    return ConstantEstimate(best, EXACT if exhaustive and all_exact else LOWER_BOUND, best_arg)
 
 
 def _diag_scaling_objective(op: DiagonalizableOperator, logd: np.ndarray, p: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,9 @@ def test_config_from_dict_roundtrip():
     assert cfg.pq_pairs == [(1.0, 2.0), (2.0, INF)]
     assert cfg.search.multistarts == 4
     assert cfg.output_path == "out.csv"
+    # search keys left out keep the defaults
+    partial = config_from_dict({"search": {"restarts": 4}}).search
+    assert partial == replace(ExperimentConfig().search, multistarts=4)
 
 
 def test_config_rejects_unknown_keys():
@@ -127,6 +131,14 @@ def test_commutator_ratios_adversarial_rows_only_at_22():
     adv = [r for r in rows if r.metric == "adversarial_normalized_ratio"]
     assert sorted(r.n for r in adv) == [4, 8]
     assert adv[0].value < adv[1].value  # growth with n
+
+
+def test_rejection_exhausted_trials_are_flagged(monkeypatch):
+    monkeypatch.setattr(experiments, "SAMPLING_ATTEMPTS", 0)
+    cfg = ExperimentConfig(seed=3, dims=[2, 3], pq_pairs=[(1.0, 2.0), (1.5, 3.0)], trials=2)
+    for runner in (run_commutator_ratios, run_psumming_check):
+        rows = runner(cfg)
+        assert rows and all((r.metric, r.value, r.certainty) == ("rejection_exhausted", 1.0, "flagged") for r in rows)
 
 
 def test_p2q2_mixed_metrics_present():
@@ -224,6 +236,8 @@ def test_cli_config_error_exit_code(tmp_path):
         {"search": {"restarts": 2, "retries": 1}},
         {"trials": True},
         {"tol": -1.0},
+        {"search": {"iter_tol": 0}},
+        {"search": {"iter_tol": -1}},
     ],
 )
 def test_cli_malformed_values_exit_code(tmp_path, capsys, override):

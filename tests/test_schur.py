@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from doilab import schur
 from doilab.norms import EXACT, INF, LOWER_BOUND, NormEstimate, SearchConfig, opnorms
 from doilab.schur import (
-    MultiplierMask,
     StaircaseDescriptor,
     abs_divided_difference,
     canonicalize_mask,
@@ -153,6 +152,30 @@ def test_reconstruct_unmapped_entries_and_size():
         d.reconstruct(3, 3)
 
 
+def _canonicalize_by_patterns(lambdas, mus):
+    """canonicalize_mask by merging equal row patterns, before it ranked
+    the rows by their counts of ones: (N, row_map, col_map)."""
+    lambdas = np.asarray(lambdas, dtype=float).ravel()
+    mus = np.asarray(mus, dtype=float).ravel()
+    mask = mus[:, None] <= lambdas[None, :]
+    n_rows, n_cols = mask.shape
+    patterns = {}
+    for k in range(n_rows):
+        if mask[k].any():
+            patterns.setdefault(mask[k].tobytes(), int(mask[k].sum()))
+    ordered = sorted(patterns, key=lambda key: -patterns[key])
+    rank_of = {key: r + 1 for r, key in enumerate(ordered)}
+    R = len(ordered)
+    N = R + 1 if any(not mask[k].any() for k in range(n_rows)) else max(R, 1)
+    row_map = [rank_of[mask[k].tobytes()] if mask[k].any() else N for k in range(n_rows)]
+    pattern_rows = [np.frombuffer(key, dtype=bool) for key in ordered]
+    col_map = []
+    for j in range(n_cols):
+        covering = [r + 1 for r, row in enumerate(pattern_rows) if row[j]]
+        col_map.append(max(covering) if covering else None)
+    return N, row_map, col_map
+
+
 @settings(deadline=None, max_examples=200)
 @given(lam=SEQ, mu=SEQ)
 def test_canonicalize_reconstruction_invariant(lam, mu):
@@ -161,6 +184,10 @@ def test_canonicalize_reconstruction_invariant(lam, mu):
     mask = (np.asarray(mu)[:, None] <= np.asarray(lam)[None, :]).astype(float)
     assert d.N <= max(len(lam), len(mu))
     assert np.array_equal(d.reconstruct(len(mu), len(lam)), mask)
+    got = (d.N, d.row_map, d.col_map)
+    ref = _canonicalize_by_patterns(lam, mu)
+    assert got == ref
+    assert [type(x) for x in (got[0], *got[1], *got[2])] == [type(x) for x in (ref[0], *ref[1], *ref[2])]
 
 
 # ------------------------------------------------------- column repetition
@@ -191,11 +218,11 @@ def test_multiplier_norm_exact_branches_are_max_entry():
         assert est.value == np.abs(M).max()
 
 
-def test_multiplier_norm_accepts_mask_type():
-    m = MultiplierMask(np.ones((2, 2)))
-    assert multiplier_norm(m, 1, 2).value == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        MultiplierMask(np.array([[np.inf]]))
+def test_multiplier_norm_rejects_non_finite_masks():
+    for bad in (np.inf, -np.inf, np.nan):
+        for p, q in [(1.0, 2.0), (2.0, INF), (2.0, 2.0), (3.0, 1.5)]:
+            with pytest.raises(ValueError, match="finite"):
+                multiplier_norm([[bad, 1.0]], p, q)
 
 
 @settings(deadline=None, max_examples=20)

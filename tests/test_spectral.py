@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doilab import spectral
-from doilab.norms import EXACT, INF, SearchConfig, opnorm_upper
+from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm, opnorm_upper
 from doilab.spectral import (
     DiagonalizableOperator,
     _diag_scaling_objective,
@@ -162,6 +163,49 @@ def test_spectral_constant_oblique_projection():
     u = np.array([[1.0, 1.0], [0.0, 1.0]])
     op = DiagonalizableOperator.from_u([1.0, -1.0], u)
     assert spectral_constant(op, 2.0).value == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def _spectral_constant_per_subset(op, p, cfg):
+    """spectral_constant with one `opnorm` call per subset, as it was
+    before the projections were estimated in blocks."""
+    groups = spectral._distinct_eigenvalue_groups(op)
+    m = len(groups)
+    best, best_arg, all_exact = 1.0, "full spectrum", True
+
+    def try_subset(mask_groups):
+        nonlocal best, best_arg, all_exact
+        idx = [i for g in mask_groups for i in g]
+        if not idx or len(idx) == op.n:
+            return
+        est = opnorm(spectral_projection(op, idx), p, p, cfg)
+        all_exact &= est.certainty == EXACT
+        if est.value > best:
+            best, best_arg = est.value, f"indices {sorted(idx)}"
+
+    if m <= spectral.EXHAUSTIVE_CAP:
+        for r in range(1, m):
+            for combo in itertools.combinations(groups, r):
+                try_subset(combo)
+        return best, EXACT if all_exact else LOWER_BOUND, best_arg
+    rng = cfg.rng(0x0537, op.n)
+    for _ in range(2**spectral.EXHAUSTIVE_CAP // 4):
+        mask = rng.random(m) < 0.5
+        try_subset([g for g, keep in zip(groups, mask) if keep])
+    return best, LOWER_BOUND, best_arg
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_spectral_constant_blocks_match_per_subset_loop(p):
+    cfg = SearchConfig(multistarts=3, max_iter=50, seed=9)
+    ops = [random_operator(seed, n=n, delta=0.5) for seed, n in [(40, 2), (41, 5), (42, 8)]]
+    op = random_operator(43, n=6, delta=0.5)
+    ops.append(DiagonalizableOperator([0.5, 0.5, -1.0, -1.0, 2.0, 3.0], op.u, op.u_inv))
+    if p in (2.0, 3.0):
+        ops.append(random_operator(44, n=spectral.EXHAUSTIVE_CAP + 1, delta=0.3))  # sampled subsets
+    for op in ops:
+        est = spectral_constant(op, p, cfg)
+        value, certainty, argument = _spectral_constant_per_subset(op, p, cfg)
+        assert (est.value.hex(), est.certainty, est.argument) == (value.hex(), certainty, argument)
 
 
 # -------------------------------------------------- diagonalizability const
