@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm, opnorm_upper
-from .schur import abs_divided_difference, multiplier_norm, standard_truncation_mask
+from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper
+from .schur import abs_divided_difference, multiplier_norm, multiplier_norm_upper, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant
 from .doi import commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
@@ -55,6 +55,8 @@ class ExperimentConfig:
 def _parse_exponent(v) -> float:
     if isinstance(v, str) and v.lower() in ("inf", "infinity"):
         return INF
+    if isinstance(v, bool):
+        raise ConfigError(f"exponent {v!r} is not a number")
     try:
         v = float(v)
     except (TypeError, ValueError) as exc:
@@ -117,7 +119,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if "iter_tol" in s:
             cfg.search.tol = _parse_float(s["iter_tol"], "search.iter_tol", 0.0)
     if "output_path" in d:
-        cfg.output_path = str(d["output_path"])
+        if not isinstance(d["output_path"], str) or not d["output_path"]:
+            raise ConfigError(f"output_path must be a nonempty string, got {d['output_path']!r}")
+        cfg.output_path = d["output_path"]
     return cfg
 
 
@@ -227,9 +231,12 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
         values = []
         for n in cfg.dims:
             t = _trial(cfg, label, p, q, n, 0)
-            est = multiplier_norm(standard_truncation_mask(n, n, n), p, q, t.search)
+            mask = standard_truncation_mask(n, n, n)
+            est = multiplier_norm(mask, p, q, t.search)
             values.append(est.value)
             rows.append(t.row("multiplier_norm", est.value, est.certainty))
+            if p == q == 2.0:
+                rows.append(t.row("multiplier_norm_upper", multiplier_norm_upper(mask), UPPER_BOUND))
         fit = _trial(cfg, label, p, q, 0, 0)
         for metric, value in zip(("fit_slope", "fit_intercept", "fit_residual"), _fit_log(cfg.dims, values)):
             rows.append(fit.row(metric, value, "derived"))

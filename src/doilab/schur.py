@@ -148,29 +148,84 @@ def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
     return h
 
 
-# Ascent steps evaluated together in one `opnorms` block. A step after an
-# accepted one is wasted work, and the round's 2 * _ASCENT_ROUND matrices
-# are held at once, so the size trades block speed-up against peak
-# memory: on the staircase masks up to n=128, rounds of 8 keep most of
-# the block gain of rounds of 30 at a fifth of their extra memory.
-_ASCENT_ROUND = 8
+def multiplier_norm_upper(M) -> float:
+    """Upper bound on the l_2 -> l_2 multiplier norm of M from Haagerup's
+    factorization theorem: any M_kj = <x_k, y_j> certifies
+    max_k ||x_k|| * max_j ||y_j||. The SVD split M = U S Vh takes x_k the
+    rows of U S^(1/2) and y_j the columns of S^(1/2) Vh; their norms do not
+    depend on which SVD the solver returns."""
+    M = np.asarray(M)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("mask entries must be finite")
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    x = np.sqrt((np.abs(U) ** 2 * s).sum(axis=1).max())
+    y = np.sqrt((np.abs(Vh) ** 2 * s[:, None]).sum(axis=0).max())
+    return float(x * y)
+
+
+def _svd_ratio(M: np.ndarray, S: np.ndarray) -> float:
+    """||M o S|| / ||S|| on l_2, both norms exact (largest singular
+    values); 0 when S is zero."""
+    den = np.linalg.norm(S, 2)
+    return float(np.linalg.norm(M * S, 2) / den) if den > 0.0 else 0.0
+
+
+def _s1_alternation(M: np.ndarray, cfg: SearchConfig, maxmod: float, unit: np.ndarray) -> NormEstimate:
+    """(2,2) multiplier norm from below by trace-class duality: the norm is
+    the sup of ||D_u M D_v||_{S_1} over unit u, v >= 0.
+
+    From u, v each iteration takes the SVD X = D_u M D_v = U s Vh, whose
+    value sum(s) is tr(W* X) = u^T G v for the polar factor W = U Vh and
+    G = conj(W) o M, then one bilinear power step on G. The step does not
+    lower u^T G v (Cauchy-Schwarz), and ||D_u M D_v||_{S_1} >= |u^T G v|
+    for unit complex u, v, with equality of the S_1 norm at |u|, |v|, so the
+    value never decreases. The loop stops when it rises by at most
+    `cfg.tol` (relative) or after `cfg.max_iter` iterations.
+
+    The reported value is the largest of three ratios of exact norms: the
+    max-modulus floor, the Hilbert-type witness and conj(W) of the best
+    iterate, which is at least its S_1 value because ||W|| = 1."""
+    floor = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
+    if maxmod == 0.0:
+        return floor
+    # the iterates of M / maxmod, whose entries have modulus <= 1, neither
+    # underflow nor overflow; W does not depend on the scale of M
+    A = M / maxmod
+    m, n = M.shape
+    u = np.full(m, m**-0.5)
+    v = np.full(n, n**-0.5)
+    value, W = 0.0, np.zeros(M.shape)
+    for _ in range(cfg.max_iter):
+        U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
+        s1 = float(s.sum())
+        if s1 > value:
+            W = U @ Vh
+        if s1 <= value * (1.0 + cfg.tol):
+            break
+        value = s1
+        G = np.conj(W) * A
+        v = np.conj(G.T @ u)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        u = np.conj(G @ v)
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
+            break
+        u, v = np.abs(u) / nu, np.abs(v) / nv
+    best = floor
+    for S in (hilbert_type_witness(m, n), np.conj(W)):
+        r = _svd_ratio(M, S)
+        if r > best.value:
+            best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
+    return best
 
 
 def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     """Norm of S -> M * S on L(l_p, l_q). Exact (max modulus) for p=1 or
-    q=inf; otherwise the best of the max-modulus floor and ratio ascent
-    over a witness library.
-
-    The ascent takes `cfg.ascent_steps` random perturbations of the
-    current witness S and accepts each that raises the ratio. A step's
-    perturbation does not depend on S, so every step is drawn up front,
-    and the ascent runs in rounds: a round perturbs S by the next
-    `_ASCENT_ROUND` steps, estimates both norms of all of them in one
-    `opnorms` block, and accepts the first that beats the best ratio;
-    the next round starts at the step after it. Each block row follows
-    the path of a single-start iteration, so the result equals that of
-    accepting the steps one at a time.
-    """
+    q=inf; a lower bound by S_1-duality alternation at p=q=2 (see
+    `_s1_alternation`); otherwise the best of the max-modulus floor and a
+    ratio ascent over a witness library (see `_ratio_ascent`)."""
     M = np.asarray(M)
     p = check_exponent(p)
     q = check_exponent(q)
@@ -185,6 +240,34 @@ def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     if p == 1.0 or q == INF:
         return NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry")
     cfg = cfg or SearchConfig()
+    if p == q == 2.0:
+        return _s1_alternation(M, cfg, maxmod, unit)
+    return _ratio_ascent(M, p, q, cfg, maxmod, unit)
+
+
+# Ascent steps evaluated together in one `opnorms` block. A step after an
+# accepted one is wasted work, and the round's 2 * _ASCENT_ROUND matrices
+# are held at once, so the size trades block speed-up against peak
+# memory: on the staircase masks up to n=128, rounds of 8 keep most of
+# the block gain of rounds of 30 at a fifth of their extra memory.
+_ASCENT_ROUND = 8
+
+
+def _ratio_ascent(M, p, q, cfg: SearchConfig, maxmod: float, unit: np.ndarray) -> NormEstimate:
+    """The best ratio ||M o S|| / ||S|| over the floor `unit` and a witness
+    library (the all-ones and Hilbert-type matrices and random ones), then
+    a random-perturbation ascent from the best of them.
+
+    The ascent takes `cfg.ascent_steps` random perturbations of the
+    current witness S and accepts each that raises the ratio. A step's
+    perturbation does not depend on S, so every step is drawn up front,
+    and the ascent runs in rounds: a round perturbs S by the next
+    `_ASCENT_ROUND` steps, estimates both norms of all of them in one
+    `opnorms` block, and accepts the first that beats the best ratio;
+    the next round starts at the step after it. Each block row follows
+    the path of a single-start iteration, so the result equals that of
+    accepting the steps one at a time.
+    """
     best_val, best_S = maxmod, unit
     rng = cfg.rng(0x5C42, M.shape[0], M.shape[1])
     witnesses = [np.ones(M.shape), hilbert_type_witness(*M.shape)]

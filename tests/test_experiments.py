@@ -238,6 +238,9 @@ def test_cli_config_error_exit_code(tmp_path):
         {"tol": -1.0},
         {"search": {"iter_tol": 0}},
         {"search": {"iter_tol": -1}},
+        {"pq_pairs": [[True, 2]]},
+        {"output_path": None},
+        {"output_path": ""},
     ],
 )
 def test_cli_malformed_values_exit_code(tmp_path, capsys, override):

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doilab import schur
+from doilab.experiments import ExperimentConfig, run_truncation_growth
 from doilab.norms import EXACT, INF, LOWER_BOUND, NormEstimate, SearchConfig, opnorms
 from doilab.schur import (
     StaircaseDescriptor,
@@ -16,6 +18,7 @@ from doilab.schur import (
     divided_difference_matrix,
     hilbert_type_witness,
     multiplier_norm,
+    multiplier_norm_upper,
     repeat_first_column,
     schur_product,
     sequence_truncation,
@@ -310,7 +313,8 @@ def _ascent_reference(p, q, kind):
     return out
 
 
-PQ_ASCENT = [(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)]
+# (2,2) takes the S_1 alternation, which is no ascent
+PQ_ASCENT = [(2.0, 4.0), (3.0, 1.5)]
 
 
 @pytest.mark.parametrize("kind", ["staircase", "sign", "sign_wide"])
@@ -367,6 +371,117 @@ def test_truncation_mask_22_growth_lower_bounds():
         for n in (8, 32, 128)
     ]
     assert vals[0] < vals[1] < vals[2]
+
+
+# ------------------------------------------ (2,2) S_1 alternation and bracket
+
+
+def _svd_norm(S) -> float:
+    return float(np.linalg.svd(S, compute_uv=False)[0])
+
+
+def _witness_ratio(M, est) -> float:
+    """sigma_max(M o S) / sigma_max(S) for the witness S of `est`."""
+    S = est.witness.reshape(np.shape(M))
+    return _svd_norm(M * S) / _svd_norm(S)
+
+
+def _complex_masks():
+    rng = np.random.default_rng(8)
+    for shape in [(1, 5), (5, 1), (3, 7), (9, 4), (12, 12)]:
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_s1_alternation_two_by_two_staircase_is_exact():
+    # ||T_2||_{2->2} = 2/sqrt(3)
+    est = multiplier_norm(standard_truncation_mask(2, 2, 2), 2, 2)
+    assert abs(est.value - 2.0 / math.sqrt(3.0)) <= 1e-10
+    assert (est.certainty, est.method) == (LOWER_BOUND, "s1_alternation")
+
+
+def test_s1_alternation_value_reevaluates_from_witness_and_beats_floors():
+    masks = [standard_truncation_mask(n, n, n) for n in (2, 3, 8, 16, 64)]
+    masks += [np.ones((3, 3)), np.eye(4), *_complex_masks()]
+    for M in masks:
+        est = multiplier_norm(M, 2, 2)
+        assert est.value == pytest.approx(_witness_ratio(M, est), rel=1e-12)
+        assert est.value >= np.abs(M).max()
+        H = hilbert_type_witness(*M.shape)
+        if H.any():
+            assert est.value >= _svd_norm(M * H) / _svd_norm(H) - 1e-12
+
+
+def test_s1_alternation_iterates_are_monotone(monkeypatch):
+    # every value sum(s) of an iterate's SVD, in order
+    values = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if kwargs.get("full_matrices") is False:
+            values.append(float(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for M in [standard_truncation_mask(32, 32, 32), *_complex_masks()]:
+        values.clear()
+        multiplier_norm(M, 2, 2, SearchConfig(max_iter=60))
+        assert len(values) >= 2
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:]))
+
+
+def test_s1_alternation_complex_non_square_masks():
+    for M in _complex_masks():
+        est = multiplier_norm(M, 2, 2)
+        assert (est.certainty, est.method) == (LOWER_BOUND, "s1_alternation")
+        assert est.witness.size == M.size
+    # unimodular diagonal scalings D_a T D_b leave the norm unchanged
+    rng = np.random.default_rng(9)
+    T = standard_truncation_mask(4, 7, 4)
+    a, b = np.exp(2j * np.pi * rng.random(4)), np.exp(2j * np.pi * rng.random(7))
+    value = multiplier_norm(T, 2, 2).value
+    assert multiplier_norm(a[:, None] * T * b, 2, 2).value == pytest.approx(value, rel=1e-9)
+
+
+def test_s1_alternation_zero_and_extreme_masks_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [(1, 1), (3, 3), (2, 5)]:
+            est = multiplier_norm(np.zeros(shape), 2, 2)
+            assert est.value == 0.0 and est.certainty == LOWER_BOUND
+            assert multiplier_norm_upper(np.zeros(shape)) == 0.0
+        # the norm is homogeneous, at scales where u^T M v under- or overflows
+        T = standard_truncation_mask(8, 8, 8)
+        lower, upper = multiplier_norm(T, 2, 2).value, multiplier_norm_upper(T)
+        for c in (1e-300, 1e300):
+            assert multiplier_norm(c * T, 2, 2).value / c == pytest.approx(lower, rel=1e-12)
+            assert multiplier_norm_upper(c * T) / c == pytest.approx(upper, rel=1e-12)
+
+
+def test_truncation_22_slope_is_seed_free():
+    dims = [2, 4, 8, 16, 32, 64, 128]
+    slopes = []
+    for seed in (1, 2):
+        rows = run_truncation_growth(ExperimentConfig(seed=seed, dims=dims, pq_pairs=[(2.0, 2.0)], trials=1))
+        [slope] = [r.value for r in rows if r.metric == "fit_slope"]
+        slopes.append(slope)
+    assert slopes[0] >= 0.25
+    assert slopes[0] == slopes[1]
+
+
+def test_multiplier_norm_upper_brackets_the_lower_bound():
+    for n in (1, 2, 4, 8, 16, 32, 64, 128):
+        M = standard_truncation_mask(n, n, n)
+        assert multiplier_norm_upper(M) >= multiplier_norm(M, 2, 2).value
+    for M in _complex_masks():
+        assert multiplier_norm_upper(M) >= multiplier_norm(M, 2, 2).value * (1.0 - 1e-12)
+
+
+def test_multiplier_norm_upper_closed_forms():
+    assert multiplier_norm_upper(np.ones((4, 4))) == pytest.approx(1.0, rel=1e-12)
+    assert multiplier_norm_upper(np.ones((2, 5))) == pytest.approx(1.0, rel=1e-12)
+    for d in ([3.0, 1.0, 0.0, 2.5], [2.0, 2.0, 1.0], [0.5]):
+        assert multiplier_norm_upper(np.diag(d)) == pytest.approx(max(d), rel=1e-12)
 
 
 def test_hilbert_type_witness_values():
