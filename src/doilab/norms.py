@@ -10,6 +10,7 @@ by multistart alternating maximization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +169,19 @@ def dual_map(v, r) -> np.ndarray:
     return _dual_rows(v, np.abs(v), r)[0]
 
 
-def _matvecs(ops, rows, v) -> np.ndarray:
-    """Row i of the result is ops[rows[i]] @ v[i], one matvec per row."""
-    out = np.empty((len(rows), ops[0].shape[0]), dtype=complex)
-    for i, r in enumerate(rows):
-        out[i] = ops[r] @ v[i]
+def _matvecs(ops, own, v) -> np.ndarray:
+    """Row i of the result is ops[own[i]] @ v[i]. Each run of consecutive
+    rows with one owner is one batched matvec (a stack of gemv calls), which
+    rounds as the single matvec of each row does; v @ S.T would be a GEMM
+    and differ in the last bits. The runs are found in Python, which is
+    faster than numpy calls on the short owner lists of most blocks."""
+    out = np.empty((len(own), ops[0].shape[0]), dtype=complex)
+    own = own.tolist()
+    lo = 0
+    for hi in range(1, len(own) + 1):
+        if hi == len(own) or own[hi] != own[lo]:
+            out[lo:hi] = np.matmul(ops[own[lo]], v[lo:hi, :, None])[..., 0]
+            lo = hi
     return out
 
 
@@ -180,11 +189,11 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
     """Alternating maximization of ||S x||_q over the unit p-ball for a
     (k, n) block of starts x0, row r iterating with S = mats[owner[r]].
 
-    Each row gets its own matvecs; every elementwise step runs once on the
-    rows still active. A row leaves at the iteration where its own
-    objective stops rising, so each row follows exactly the path that a
-    single-start iteration from it would. Returns per-row lists of values,
-    witnesses and method labels.
+    The matvecs of each matrix's active rows run batched, and every
+    elementwise step runs once on the rows still active. A row leaves at
+    the iteration where its own objective stops rising, so each row
+    follows exactly the path that a single-start iteration from it would.
+    Returns per-row lists of values, witnesses and method labels.
     """
     pstar = conjugate_exponent(p)
     xn = _row_norms(np.abs(x0), p)
@@ -193,21 +202,21 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
     best_x = x0 / xn[:, None]
     best = np.zeros(len(owner))
     labels = np.full(len(owner), "power_iteration", dtype=object)
+    owner = np.asarray(owner)
     zero = np.array([not np.any(S) for S in mats])[owner]
     labels[zero] = "power_iteration:zero_matrix"
-    fwd = [mats[i] for i in owner]
-    adj = [S.T for S in fwd]
+    adj = [S.T for S in mats]
     # the active rows: their indices, their best iterates x with values val,
     # and y = S x with moduli a
     act = np.flatnonzero(~zero)
     x = best_x[act]
-    y = _matvecs(fwd, act, x)
+    y = _matvecs(mats, owner[act], x)
     a = np.abs(y)
     val = _row_norms(a, q)
     for _ in range(max_iter):
         if act.size == 0:
             break
-        z = _matvecs(adj, act, _dual_rows(y, a, q))
+        z = _matvecs(adj, owner[act], _dual_rows(y, a, q))
         xd = _dual_rows(z, np.abs(z), pstar)
         nn = _row_norms(np.abs(xd), p)
         if not nn.all():
@@ -215,7 +224,7 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
             best[act[out]], best_x[act[out]] = val[out], x[out]
             act, x, val, xd, nn = act[~out], x[~out], val[~out], xd[~out], nn[~out]
         x_new = xd / nn[:, None]
-        y = _matvecs(fwd, act, x_new)
+        y = _matvecs(mats, owner[act], x_new)
         a = np.abs(y)
         val_new = _row_norms(a, q)
         # alternating maximization cannot decrease; a drop is numerical
@@ -304,10 +313,12 @@ def _start_vectors(shape, cfg: SearchConfig) -> np.ndarray:
     return starts
 
 
-def opnorms(mats, p, q, cfg: SearchConfig | None = None) -> list[NormEstimate]:
-    """`opnorm` of each matrix in mats, all of one shape. Outside the exact
-    branches, every multistart of every matrix runs in one power-iteration
-    block, and each matrix keeps its best start."""
+def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
+    """`opnorm` of each matrix in mats, all of one shape. cfg is one
+    SearchConfig for every matrix or a sequence of one per matrix; matrix
+    i's starts come from its own config, and all share one tol and one
+    max_iter. Outside the exact branches, every multistart of every matrix
+    runs in one power-iteration block, and each matrix keeps its best start."""
     p = check_exponent(p)
     q = check_exponent(q)
     mats = [np.asarray(S, dtype=complex) for S in mats]
@@ -318,6 +329,14 @@ def opnorms(mats, p, q, cfg: SearchConfig | None = None) -> list[NormEstimate]:
             raise ValueError("matrix entries must be finite")
     if len({S.shape for S in mats}) > 1:
         raise ValueError("opnorms takes matrices of one shape")
+    if cfg is None or isinstance(cfg, SearchConfig):
+        cfgs = [cfg or SearchConfig()] * len(mats)
+    else:
+        cfgs = list(cfg)
+        if len(cfgs) != len(mats):
+            raise ValueError(f"opnorms got {len(cfgs)} search configs for {len(mats)} matrices")
+        if len({(c.tol, c.max_iter) for c in cfgs}) > 1:
+            raise ValueError("the search configs of one opnorms block must share tol and max_iter")
     if p == 1.0:
         return [_exact_p1(S, q) for S in mats]
     if q == INF:
@@ -326,16 +345,17 @@ def opnorms(mats, p, q, cfg: SearchConfig | None = None) -> list[NormEstimate]:
         return [_exact_22(S) for S in mats]
     if not mats:
         return []
-    cfg = cfg or SearchConfig()
-    starts = _start_vectors(mats[0].shape, cfg)
-    k = len(starts)
-    owner = np.repeat(np.arange(len(mats)), k)
+    first = _start_vectors(mats[0].shape, cfgs[0])
+    starts = [first if c is cfgs[0] else _start_vectors(mats[0].shape, c) for c in cfgs]
+    sizes = [len(x) for x in starts]
+    owner = np.repeat(np.arange(len(mats)), sizes)
+    ends = np.cumsum(sizes).tolist()
     vals, wits, labels = _power_block(
-        mats, owner, np.tile(starts, (len(mats), 1)), p, q, cfg.tol, cfg.max_iter
+        mats, owner, np.concatenate(starts), p, q, cfgs[0].tol, cfgs[0].max_iter
     )
     out = []
-    for i in range(len(mats)):
-        r = max(range(i * k, (i + 1) * k), key=vals.__getitem__)  # first best start
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        r = max(range(lo, hi), key=vals.__getitem__)  # first best start
         out.append(NormEstimate(vals[r], LOWER_BOUND, wits[r].copy(), labels[r]))
     return out
 

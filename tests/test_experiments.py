@@ -24,7 +24,8 @@ from doilab.experiments import (
     write_outputs,
     _trial_seed,
 )
-from doilab.norms import INF
+from doilab.norms import INF, opnorm
+from doilab.spectral import DiagonalizableOperator, assemble
 
 SMALL = ExperimentConfig(seed=7, dims=[2, 3], pq_pairs=[(1.0, 2.0), (2.0, 2.0)], trials=2)
 
@@ -146,6 +147,43 @@ def test_p2q2_mixed_metrics_present():
     rows = run_p2q2_mixed(cfg)
     metrics = {r.metric for r in rows}
     assert metrics == {"lhs_norm", "mixed_2_to_2meps", "mixed_2peps_to_2", "implied_constant"}
+
+
+def _p2q2_mixed_one_trial_at_a_time(cfg):
+    """Reference: each trial's norms estimated on their own with its search."""
+    rows = []
+    for t in experiments._trials(cfg, "p2q2_mixed", 2.0, 2.0):
+        rng, n = t.rng, t.n
+        lam = rng.uniform(-1.0, 1.0, size=n)
+        mu = rng.uniform(-1.0, 1.0, size=n)
+        u = experiments._random_unitary(rng, n)
+        v = experiments._random_unitary(rng, n)
+        a = DiagonalizableOperator(lam, u, u.conj().T)
+        b = DiagonalizableOperator(mu, v, v.conj().T)
+        abs_a = a.u_inv @ np.diag(np.abs(lam)) @ a.u
+        abs_b = b.u_inv @ np.diag(np.abs(mu)) @ b.u
+        lhs = opnorm(abs_b - abs_a, 2.0, 2.0, t.search)
+        mid = b.u @ (assemble(b) - assemble(a)) @ a.u_inv
+        m1 = opnorm(mid, 2.0, 2.0 - cfg.eps, t.search)
+        m2 = opnorm(mid, 2.0 + cfg.eps, 2.0, t.search)
+        best = min(m1.value, m2.value)
+        rows.append(t.row("lhs_norm", lhs.value, lhs.certainty))
+        rows.append(t.row("mixed_2_to_2meps", m1.value, m1.certainty))
+        rows.append(t.row("mixed_2peps_to_2", m2.value, m2.certainty))
+        rows.append(t.row("implied_constant", lhs.value / best if best > 1e-14 else math.inf, "derived"))
+    return experiments._sort_rows(rows)
+
+
+def test_p2q2_mixed_batched_trials_equal_one_trial_at_a_time():
+    # n = 2 and 4 start from seeded Gaussians (n < multistarts - 1), which
+    # differ from trial to trial
+    cfg = ExperimentConfig(seed=21, dims=[2, 4, 8, 16], pq_pairs=[(2.0, 2.0)], trials=3)
+    batched = rows_to_csv(run_p2q2_mixed(cfg))
+    assert batched == rows_to_csv(_p2q2_mixed_one_trial_at_a_time(cfg))
+    assert batched.count("lower_bound") == 24  # 4 dims x 3 trials x 2 mixed norms
+    # trial 0 does not see the trials batched with it
+    trial0 = [r for r in run_p2q2_mixed(cfg) if r.trial == 0]
+    assert rows_to_csv(trial0) == rows_to_csv(run_p2q2_mixed(replace(cfg, trials=1)))
 
 
 def test_psumming_check_all_satisfied():

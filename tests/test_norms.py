@@ -398,6 +398,18 @@ def test_power_block_rows_with_different_matrices():
         assert _same((vals[r], wits[r], labels[r]), ref[:3])
 
 
+def test_matvecs_equal_one_matvec_per_row():
+    rng = np.random.default_rng(5)
+    mats = [_kernel_cases(3)[1], rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))]
+    own = np.array([0, 0, 1, 1, 1, 0, 1, 0, 0])
+    for ops, n in ((mats, 6), ([S.T for S in mats], 3)):
+        v = rng.standard_normal((len(own), n)) + 1j * rng.standard_normal((len(own), n))
+        out = norms._matvecs(ops, own, v)
+        ref = np.array([ops[r] @ v[i] for i, r in enumerate(own)])
+        assert out.tobytes() == ref.tobytes()
+        assert norms._matvecs(ops, own[:0], v[:0]).shape == (0, ops[0].shape[0])
+
+
 @pytest.mark.parametrize("multistarts, max_iter", [(1, 300), (5, 300), (12, 300), (8, 4)])
 def test_opnorm_matches_single_start_loop(multistarts, max_iter):
     cfg = SearchConfig(multistarts=multistarts, max_iter=max_iter, seed=99)
@@ -422,6 +434,38 @@ def test_opnorms_equals_opnorm_of_each():
     assert opnorms([], 3.0, 1.5) == []
     with pytest.raises(ValueError):
         opnorms([np.eye(2), np.eye(3)], 3.0, 1.5)
+
+
+def test_opnorms_with_per_matrix_configs_equals_opnorm_of_each():
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 9):  # seeded complex Gaussian starts at n < multistarts - 1
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(4)]
+        mats.append(np.zeros((n, n)))
+        cfgs = [SearchConfig(multistarts=k, max_iter=200, seed=s) for k, s in ((8, 1), (8, 2), (3, 3), (1, 4), (8, 5))]
+        for p, q in [(2.0, 1.5), (2.5, 2.0), (3.0, 1.5), (2.0, 2.0), (1.0, 3.0), (1.5, INF)]:
+            batch = opnorms(mats, p, q, cfgs)
+            for S, c, est in zip(mats, cfgs, batch):
+                one = opnorm(S, p, q, c)
+                assert (est.value, est.witness.tobytes(), est.method, est.certainty) == (
+                    one.value, one.witness.tobytes(), one.method, one.certainty)
+    # each matrix iterates from its own starts: at n = 2 one step from the
+    # Gaussian starts of two seeds ends at two witnesses
+    S = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    a, b = opnorms([S, S], 2.0, 1.5, [SearchConfig(max_iter=1, seed=1), SearchConfig(max_iter=1, seed=2)])
+    assert a.witness.tobytes() != b.witness.tobytes()
+
+
+@pytest.mark.parametrize("cfgs", [
+    [SearchConfig(tol=1e-10), SearchConfig(tol=1e-9)],
+    [SearchConfig(max_iter=300), SearchConfig(max_iter=301)],
+    [SearchConfig()],
+    [SearchConfig()] * 3,
+])
+def test_opnorms_rejects_mismatched_configs(cfgs):
+    mats = [np.eye(3), np.ones((3, 3))]
+    for p, q in [(3.0, 1.5), (1.0, 2.0)]:
+        with pytest.raises(ValueError):
+            opnorms(mats, p, q, cfgs)
 
 
 @settings(deadline=None, max_examples=30)
