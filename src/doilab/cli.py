@@ -1,6 +1,7 @@
 """Command line front end: `doilab <subcommand> [--config path] [--seed N] [--out path]`.
 
-Exit codes: 0 success, 2 assertion-experiment violation, 3 config error.
+Exit codes: 0 success, 2 assertion-experiment violation, 3 config error
+(including an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -58,7 +59,11 @@ def main(argv=None) -> int:
         print(f"violation: {exc}", file=sys.stderr)
         print(json.dumps(exc.dump, indent=2, default=str), file=sys.stderr)
         return 2
-    path = write_outputs(rows, cfg, args.out)
+    try:
+        path = write_outputs(rows, cfg, args.out)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorms
 from .schur import abs_divided_difference, multiplier_norm, multiplier_norm_upper, standard_truncation_mask
-from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant
+from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
 
@@ -351,9 +351,7 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
             a = DiagonalizableOperator(lam, u, u.conj().T)
             b = DiagonalizableOperator(mu, v, v.conj().T)
             A, B = assemble(a), assemble(b)
-            abs_a = a.u_inv @ np.diag(np.abs(lam)) @ a.u
-            abs_b = b.u_inv @ np.diag(np.abs(mu)) @ b.u
-            lhs.append(opnorm(abs_b - abs_a, 2.0, 2.0))
+            lhs.append(opnorm(functional_calculus(b, abs) - functional_calculus(a, abs), 2.0, 2.0))
             mids.append(b.u @ (B - A) @ a.u_inv)
         searches = [t.search for t in trials]
         m1s = opnorms(mids, 2.0, 2.0 - cfg.eps, searches)

@@ -110,7 +110,6 @@ class SearchConfig:
     max_iter: int = 500
     tol: float = 1e-10
     seed: int = 0
-    ascent_steps: int = 30
 
     def rng(self, *salt) -> np.random.Generator:
         return np.random.default_rng([self.seed & 0xFFFFFFFF, *[s & 0xFFFFFFFF for s in salt]])

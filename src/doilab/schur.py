@@ -170,9 +170,11 @@ def _svd_ratio(M: np.ndarray, S: np.ndarray) -> float:
     return float(np.linalg.norm(M * S, 2) / den) if den > 0.0 else 0.0
 
 
-def _s1_alternation(M: np.ndarray, cfg: SearchConfig, maxmod: float, unit: np.ndarray) -> NormEstimate:
-    """(2,2) multiplier norm from below by trace-class duality: the norm is
-    the sup of ||D_u M D_v||_{S_1} over unit u, v >= 0.
+def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
+    """conj(W) for the polar factor W of the best iterate of an alternation
+    that maximizes ||D_u M D_v||_{S_1} over unit u, v >= 0. At p=q=2 that
+    sup is the multiplier norm (trace-class duality); at other pairs
+    conj(W) is a witness without that guarantee.
 
     From u, v each iteration takes the SVD X = D_u M D_v = U s Vh, whose
     value sum(s) is tr(W* X) = u^T G v for the polar factor W = U Vh and
@@ -180,14 +182,8 @@ def _s1_alternation(M: np.ndarray, cfg: SearchConfig, maxmod: float, unit: np.nd
     lower u^T G v (Cauchy-Schwarz), and ||D_u M D_v||_{S_1} >= |u^T G v|
     for unit complex u, v, with equality of the S_1 norm at |u|, |v|, so the
     value never decreases. The loop stops when it rises by at most
-    `cfg.tol` (relative) or after `cfg.max_iter` iterations.
-
-    The reported value is the largest of three ratios of exact norms: the
-    max-modulus floor, the Hilbert-type witness and conj(W) of the best
-    iterate, which is at least its S_1 value because ||W|| = 1."""
-    floor = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
-    if maxmod == 0.0:
-        return floor
+    `cfg.tol` (relative) or after `cfg.max_iter` iterations. Needs
+    maxmod = max |M_kj| > 0."""
     # the iterates of M / maxmod, whose entries have modulus <= 1, neither
     # underflow nor overflow; W does not depend on the scale of M
     A = M / maxmod
@@ -213,19 +209,19 @@ def _s1_alternation(M: np.ndarray, cfg: SearchConfig, maxmod: float, unit: np.nd
         if nu == 0.0:
             break
         u, v = np.abs(u) / nu, np.abs(v) / nv
-    best = floor
-    for S in (hilbert_type_witness(m, n), np.conj(W)):
-        r = _svd_ratio(M, S)
-        if r > best.value:
-            best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
-    return best
+    return np.conj(W)
 
 
 def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     """Norm of S -> M * S on L(l_p, l_q). Exact (max modulus) for p=1 or
-    q=inf; a lower bound by S_1-duality alternation at p=q=2 (see
-    `_s1_alternation`); otherwise the best of the max-modulus floor and a
-    ratio ascent over a witness library (see `_ratio_ascent`)."""
+    q=inf; otherwise a lower bound: the largest ratio ||M o S|| / ||S||
+    over three deterministic witnesses, tried in this order and replaced
+    only by a strictly larger ratio: the max-modulus floor (the matrix unit
+    at a largest entry), the Hilbert-type witness and conj(W) from
+    `_s1_witness`. At p=q=2 both norms of a ratio are exact SVD norms, and
+    the conj(W) ratio is at least the S_1 value of the best iterate because
+    ||W|| = 1; at other pairs they are `opnorms` estimates, all four in one
+    block."""
     M = np.asarray(M)
     p = check_exponent(p)
     q = check_exponent(q)
@@ -239,65 +235,17 @@ def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     unit[kj] = 1.0
     if p == 1.0 or q == INF:
         return NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry")
+    best = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
+    if maxmod == 0.0:
+        return best
     cfg = cfg or SearchConfig()
+    cands = [hilbert_type_witness(*M.shape), _s1_witness(M, cfg, maxmod)]
     if p == q == 2.0:
-        return _s1_alternation(M, cfg, maxmod, unit)
-    return _ratio_ascent(M, p, q, cfg, maxmod, unit)
-
-
-# Ascent steps evaluated together in one `opnorms` block. A step after an
-# accepted one is wasted work, and the round's 2 * _ASCENT_ROUND matrices
-# are held at once, so the size trades block speed-up against peak
-# memory: on the staircase masks up to n=128, rounds of 8 keep most of
-# the block gain of rounds of 30 at a fifth of their extra memory.
-_ASCENT_ROUND = 8
-
-
-def _ratio_ascent(M, p, q, cfg: SearchConfig, maxmod: float, unit: np.ndarray) -> NormEstimate:
-    """The best ratio ||M o S|| / ||S|| over the floor `unit` and a witness
-    library (the all-ones and Hilbert-type matrices and random ones), then
-    a random-perturbation ascent from the best of them.
-
-    The ascent takes `cfg.ascent_steps` random perturbations of the
-    current witness S and accepts each that raises the ratio. A step's
-    perturbation does not depend on S, so every step is drawn up front,
-    and the ascent runs in rounds: a round perturbs S by the next
-    `_ASCENT_ROUND` steps, estimates both norms of all of them in one
-    `opnorms` block, and accepts the first that beats the best ratio;
-    the next round starts at the step after it. Each block row follows
-    the path of a single-start iteration, so the result equals that of
-    accepting the steps one at a time.
-    """
-    best_val, best_S = maxmod, unit
-    rng = cfg.rng(0x5C42, M.shape[0], M.shape[1])
-    witnesses = [np.ones(M.shape), hilbert_type_witness(*M.shape)]
-    for _ in range(max(cfg.multistarts // 8, 1)):
-        witnesses.append(rng.standard_normal(M.shape))
-    # ||S|| for every witness, then ||M * S|| for every witness, in one block
-    ests = opnorms(witnesses + [schur_product(M, S) for S in witnesses], p, q, cfg)
-    for S, den, num in zip(witnesses, ests, ests[len(witnesses) :]):
-        r = num.value / den.value if den.value != 0.0 else 0.0
-        if r > best_val:
-            best_val, best_S = r, S
-    # random-perturbation ascent around the best witness, in rounds
-    S = np.array(best_S, dtype=complex)
-    scale = max(np.abs(S).max(), 1.0)
-    steps = []
-    for _ in range(cfg.ascent_steps):
-        hits = rng.integers(0, S.size, size=max(S.size // 8, 1))
-        steps.append((hits, rng.standard_normal(hits.size) * 0.2 * scale))
-    i = 0
-    while i < len(steps):
-        perts = []
-        for hits, noise in steps[i : i + _ASCENT_ROUND]:
-            pert = np.array(S)
-            pert.ravel()[hits] += noise  # a repeated index adds once
-            perts.append(pert)
-        ests = opnorms(perts + [schur_product(M, P) for P in perts], p, q, cfg)
-        for j, (den, num) in enumerate(zip(ests, ests[len(perts) :])):
-            r = num.value / den.value if den.value != 0.0 else 0.0
-            if r > best_val:
-                best_val, best_S, S = r, perts[j], perts[j]
-                break
-        i += j + 1  # past the accepted step, or past the whole round
-    return NormEstimate(float(best_val), LOWER_BOUND, np.asarray(best_S).ravel(), "ratio_ascent")
+        ratios = [_svd_ratio(M, S) for S in cands]
+    else:
+        ests = opnorms(cands + [M * S for S in cands], p, q, cfg)
+        ratios = [num.value / den.value if den.value != 0.0 else 0.0 for den, num in zip(ests, ests[2:])]
+    for S, r in zip(cands, ratios):
+        if r > best.value:
+            best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
+    return best

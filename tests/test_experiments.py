@@ -289,6 +289,14 @@ def test_cli_malformed_values_exit_code(tmp_path, capsys, override):
     assert not out.exists()
 
 
+def test_cli_unwritable_output_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        assert cli.main(["doi-identity", "--config", cfg, "--out", str(out)]) == 3
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_violation_exit_code(tmp_path, monkeypatch):
     def exploding(cfg):
         raise ViolationError("boom", {"n": 1})
