@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import (
@@ -43,12 +44,24 @@ def load_config(path: str | None) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def check_output_path(path: str):
+    """Raise ConfigError unless `path` is not a directory and its directory
+    exists and is writable, so that a run learns before it computes any
+    row that it could not save them."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output: {path} is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise ConfigError(f"cannot write output: the directory of {path} is missing or not writable")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        out = args.out or cfg.output_path
+        check_output_path(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -60,7 +73,7 @@ def main(argv=None) -> int:
         print(json.dumps(exc.dump, indent=2, default=str), file=sys.stderr)
         return 2
     try:
-        path = write_outputs(rows, cfg, args.out)
+        path = write_outputs(rows, cfg, out)
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 3

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .norms import SearchConfig, check_exponent, opnorm
 from .schur import (
@@ -37,20 +35,10 @@ def doi_apply(phi, S) -> np.ndarray:
 
 
 def sobolev_weight_norm() -> float:
-    """||g||_{L2} + ||g'||_{L2} for g(t) = 2 / (e^|t| + 1), by adaptive
-    quadrature. Closed forms: integral of g^2 is 8 ln 2 - 4 and of g'^2
-    is 2/3; the test suite pins the quadrature against both."""
-    return _sobolev_weight_norm_cached()
-
-
-@lru_cache(maxsize=1)
-def _sobolev_weight_norm_cached() -> float:
-    # overflow-safe forms: g(t) = 2 e^{-t} / (1 + e^{-t}) for t >= 0
-    g2, _ = quad(lambda t: (2.0 * math.exp(-t) / (1.0 + math.exp(-t))) ** 2, 0.0, math.inf)
-    dg2, _ = quad(
-        lambda t: (2.0 * math.exp(-t) / (1.0 + math.exp(-t)) ** 2) ** 2, 0.0, math.inf
-    )
-    return math.sqrt(2.0 * g2) + math.sqrt(2.0 * dg2)
+    """||g||_{L2} + ||g'||_{L2} for g(t) = 2 / (e^|t| + 1), in closed form:
+    the integral of g^2 over the line is 8 ln 2 - 4 and that of g'^2 is
+    2/3; the test suite checks both against a quadrature."""
+    return math.sqrt(8.0 * math.log(2.0) - 4.0) + math.sqrt(2.0 / 3.0)
 
 
 def abs_kernel_constant() -> float:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .norms import (
     EXACT,
@@ -33,10 +32,13 @@ EXHAUSTIVE_CAP = 12
 # bounds peak memory
 _SUBSET_BLOCK = 64
 # Interior-p K: the temperature of the log-sum-exp that smooths each max in
-# the bound L-BFGS-B minimizes, and L-BFGS-B's stopping tolerances
+# the bound `_lbfgs` minimizes, `_lbfgs`'s stopping tolerances, the number
+# of (s, y) pairs it keeps, and the halvings after which a line search gives up
 _SMOOTHING = 0.01
-_FTOL = 1e-4
+_FTOL = 5e-5
 _GTOL = 1e-6
+_MEMORY = 10
+_MAX_HALVINGS = 40
 
 
 @dataclass
@@ -239,6 +241,51 @@ def _smoothed_log_bound(op: DiagonalizableOperator, p: float):
     return f
 
 
+def _lbfgs(fg, x0: np.ndarray) -> np.ndarray:
+    """A point where the smooth function with (value, gradient) = fg(x)
+    is no higher than at x0, by L-BFGS (Liu and Nocedal, Math. Programming 45,
+    1989): the two-loop recursion over the last _MEMORY pairs (s, y),
+    scaled by s.y / y.y, and a backtracking line search that halves the
+    step until the Armijo condition holds. A pair with s.y <= 0 is not
+    kept, and a direction that does not descend is replaced by the steepest
+    descent one, the pairs dropped. It stops when max |g| <= _GTOL, when a
+    step lowers f by at most _FTOL relative to max(|f|, 1), or when a line
+    search halves _MAX_HALVINGS times without success."""
+    x = x0
+    f, g = fg(x)
+    pairs: list = []
+    while np.abs(g).max() > _GTOL:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * (y @ d)) * s
+        slope = g @ d
+        if slope >= 0.0:
+            pairs.clear()
+            d, slope = -g, -(g @ g)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new, g_new = fg(x + step * d)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            return x
+        s, y = step * d, g_new - g
+        if s @ y > 0.0:
+            pairs = [*pairs[1 - _MEMORY :], (s, y, 1.0 / (s @ y))]
+        x, f_old, f, g = x + s, f, f_new, g_new
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return x
+
+
 def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimate:
     """The infimum over positive diagonal rescalings D of U of
     ||DU|| ||U^{-1}D^{-1}|| on l_p, clipped below at 1.
@@ -247,12 +294,12 @@ def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimat
     at the scaling of `_endpoint_scaling`, and the result is exact; so is
     K = 1 at n = 1. At other p, the log of the interpolation bound
     `opnorm_upper(DU) opnorm_upper(U^{-1}D^{-1})` is convex in log D (Braatz
-    and Morari, SIAM J. Control Optim. 32, 1994). L-BFGS-B minimizes it,
-    with each max over columns or rows smoothed, from the better of two
-    starts: no scaling, and the row equilibration of U. The point where it
-    stops is scored with the exact bound, and the best-scoring of it and
-    the starts is returned. Its scaling, in `argument`, is the certificate
-    of the result, an upper bound.
+    and Morari, SIAM J. Control Optim. 32, 1994). `_lbfgs`, a numpy L-BFGS,
+    minimizes it, with each max over columns or rows smoothed, from the
+    better of two starts: no scaling, and the row equilibration of U. The
+    point where it stops is scored with the exact bound, and the
+    best-scoring of it and the starts is returned. Its scaling, in
+    `argument`, is the certificate of the result, an upper bound.
     """
     p = check_exponent(p)
     if p == 1.0 or p == INF:
@@ -265,11 +312,8 @@ def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimat
     points = [np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))]
     scores = [_diag_scaling_objective(op, logd, p) for logd in points]
     start = points[int(np.argmin(scores))]
-    res = minimize(
-        _smoothed_log_bound(op, p), (start - start[0])[1:], jac=True, method="L-BFGS-B",
-        options={"ftol": _FTOL, "gtol": _GTOL},
-    )
-    points.append(np.concatenate(([0.0], res.x)))
+    x = _lbfgs(_smoothed_log_bound(op, p), (start - start[0])[1:])
+    points.append(np.concatenate(([0.0], x)))
     scores.append(_diag_scaling_objective(op, points[-1], p))
     best = int(np.argmin(scores))
     # every score is a certified upper bound; K >= 1 clips numerical dust

@@ -160,9 +160,18 @@ def test_identity_residual_with_collisions(seed):
 
 
 def test_sobolev_weight_norm_matches_closed_form():
-    # g(t) = 2/(e^|t|+1): int g^2 = 8 ln 2 - 4, int g'^2 = 2/3
-    expected = math.sqrt(8 * math.log(2) - 4) + math.sqrt(2.0 / 3.0)
-    assert sobolev_weight_norm() == pytest.approx(expected, abs=1e-9)
+    # g(t) = 2/(e^|t|+1) is even, so each integral over the line is twice
+    # that over [0, inf); beyond t = 40 the integrands are below 1e-34.
+    # Composite Simpson with h = 1e-3 errs by far less than 1e-9 here.
+    t = np.linspace(0.0, 40.0, 40_001)
+    e = np.exp(-t)
+    w = np.ones_like(t)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    g2 = 2.0 * (t[1] - t[0]) / 3.0 * (w @ (2.0 * e / (1.0 + e)) ** 2)
+    dg2 = 2.0 * (t[1] - t[0]) / 3.0 * (w @ (2.0 * e / (1.0 + e) ** 2) ** 2)
+    assert g2 == pytest.approx(8 * math.log(2) - 4, abs=1e-9)
+    assert dg2 == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert sobolev_weight_norm() == pytest.approx(math.sqrt(g2) + math.sqrt(dg2), abs=1e-9)
 
 
 def test_abs_kernel_constant_value():

@@ -289,7 +289,11 @@ def test_cli_malformed_values_exit_code(tmp_path, capsys, override):
     assert not out.exists()
 
 
-def test_cli_unwritable_output_exit_code(tmp_path, capsys):
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):
+    def not_run(cfg):
+        raise AssertionError("experiment ran although its output cannot be written")
+
+    monkeypatch.setitem(cli.RUNNERS, "doi-identity", not_run)
     cfg = write_config(tmp_path)
     for out in (tmp_path / "missing" / "out.csv", tmp_path):
         assert cli.main(["doi-identity", "--config", cfg, "--out", str(out)]) == 3

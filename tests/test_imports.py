@@ -1,8 +1,11 @@
 """Every name a doilab module imports is used in it. `__init__.py`, which
 re-exports, is skipped, and `# noqa: F401` on the line of an imported name
-keeps that name."""
+keeps that name. The package runs on numpy alone: scipy is never imported."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,30 @@ def test_no_unused_imports(path):
 def test_unused_import_detection():
     src = "import math\nimport os  # noqa: F401\nimport a.b\nfrom x import (\n    c,\n    d as e,\n)\nprint(c, a.b)\n"
     assert unused_imports(src) == [(1, "math"), (6, "e")]
+
+
+# Runs in a fresh interpreter: imports the CLI, computes one interior-p K
+# (the path that used scipy.optimize), and prints the scipy modules loaded.
+NO_SCIPY_CODE = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import doilab.cli
+from doilab.spectral import DiagonalizableOperator, diagonalizability_constant
+rng = np.random.default_rng(0)
+op = DiagonalizableOperator.from_u(rng.uniform(-1, 1, 4), np.eye(4) + 0.5 * rng.standard_normal((4, 4)))
+est = diagonalizability_constant(op, 1.5)
+assert est.certainty == "upper_bound" and est.value >= 1.0, est
+print(sorted(m for m, mod in sys.modules.items() if m.partition(".")[0] == "scipy" and mod is not None))
+"""
+
+
+@pytest.mark.parametrize("scipy_state", ["blocked", "available"])
+def test_package_runs_without_scipy(scipy_state):
+    env = {**os.environ, "PYTHONPATH": str(Path(doilab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CODE, scipy_state], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

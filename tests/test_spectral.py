@@ -13,6 +13,7 @@ from doilab.spectral import (
     DiagonalizableOperator,
     _diag_scaling_objective,
     _endpoint_scaling,
+    _lbfgs,
     _smoothed_log_bound,
     assemble,
     diagonalizability_constant,
@@ -275,9 +276,9 @@ def test_k_endpoint_closed_form_is_optimal(seed, p):
     assert spectral_constant(op, p).value <= est.value + 1e-9
 
 
-# K from L-BFGS-B; each is at most old_pin, the value of the coordinate
-# descent it replaced
-SOLVER_PINS = {21: 18.964479669717743, 22: 18.296026483621546, 23: 5.204794081114237}
+# K from `_lbfgs`; each is at most old_pin, the value of the coordinate
+# descent that preceded it
+SOLVER_PINS = {21: 18.965676312778747, 22: 18.29226008297023, 23: 5.204857544059306}
 
 
 @pytest.mark.parametrize("seed,p,old_pin", [
@@ -306,6 +307,33 @@ def test_k_smoothed_log_bound_gradient_matches_central_differences(p):
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+@pytest.mark.parametrize("m", [1, 5, 30])
+def test_lbfgs_reaches_gradient_tolerance_on_convex_quadratic(monkeypatch, m):
+    # with the relative-decrease stop off, only max |g| <= _GTOL ends the run
+    monkeypatch.setattr(spectral, "_FTOL", 0.0)
+    rng = np.random.default_rng(m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    a = q @ np.diag(np.geomspace(0.1, 100.0, m)) @ q.T
+    x_star = rng.standard_normal(m)
+
+    def fg(x):
+        g = a @ (x - x_star)
+        return 0.5 * (x - x_star) @ g, g
+
+    x = _lbfgs(fg, np.zeros(m))
+    assert np.abs(fg(x)[1]).max() <= spectral._GTOL
+    assert np.allclose(x, x_star, atol=1e-5)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_lbfgs_never_ends_above_its_start(seed, p):
+    op = random_operator(40 + seed, n=6, delta=0.6)
+    f = _smoothed_log_bound(op, p)
+    x0 = np.random.default_rng(seed).standard_normal(op.n - 1)
+    assert f(_lbfgs(f, x0))[0] <= f(x0)[0]
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("seed", range(3))
 def test_k_interior_argument_rescores_to_value(seed, p):
@@ -320,9 +348,9 @@ def test_k_interior_argument_rescores_to_value(seed, p):
 
 def test_k_interior_dimension_one_skips_the_solver(monkeypatch):
     def no_solver(*args, **kwargs):
-        raise AssertionError("minimize called at n = 1")
+        raise AssertionError("_lbfgs called at n = 1")
 
-    monkeypatch.setattr(spectral, "minimize", no_solver)
+    monkeypatch.setattr(spectral, "_lbfgs", no_solver)
     op = DiagonalizableOperator.from_u([0.5], [[3.0 - 4.0j]])
     for p in (1.5, 2.0, 3.0):
         est = diagonalizability_constant(op, p)
