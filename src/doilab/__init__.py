@@ -29,6 +29,7 @@ from .schur import (
     divided_difference_matrix,
     hilbert_type_witness,
     multiplier_norm,
+    multiplier_norms,
     multiplier_norm_upper,
     repeat_first_column,
     schur_product,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorms
-from .schur import abs_divided_difference, multiplier_norm, multiplier_norm_upper, standard_truncation_mask
+from .schur import abs_divided_difference, multiplier_norm_upper, multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
@@ -98,11 +98,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if not isinstance(d["dims"], list) or not d["dims"]:
             raise ConfigError("dims must be a nonempty list of dimensions")
         cfg.dims = [_parse_int(n, "dims entry", 1) for n in d["dims"]]
+        if len(set(cfg.dims)) < len(cfg.dims):
+            raise ConfigError(f"dims has a duplicate entry: {cfg.dims}")
     if "pq_pairs" in d:
         pairs = d["pq_pairs"]
         if not isinstance(pairs, list) or not all(isinstance(pq, list) and len(pq) == 2 for pq in pairs):
             raise ConfigError("pq_pairs must be a list of [p, q] pairs")
         cfg.pq_pairs = [(_parse_exponent(a), _parse_exponent(b)) for a, b in pairs]
+        if len(set(cfg.pq_pairs)) < len(cfg.pq_pairs):
+            raise ConfigError(f"pq_pairs has a duplicate pair: {pairs}")
     if "trials" in d:
         cfg.trials = _parse_int(d["trials"], "trials", 1)
     if "eps" in d:
@@ -225,21 +229,27 @@ def _fit_log(ns, values):
 
 
 def run_truncation_growth(cfg: ExperimentConfig) -> list:
+    """Per n, one `multiplier_norms` call on the n x n staircase holds every
+    pair, each with its own seeded search, so the witness set is built once
+    per n. Each pair's norms are fitted against ln n when dims has at least
+    two entries."""
     label = "truncation_growth"
     rows = []
-    for p, q in cfg.pq_pairs:
-        values = []
-        for n in cfg.dims:
-            t = _trial(cfg, label, p, q, n, 0)
-            mask = standard_truncation_mask(n, n, n)
-            est = multiplier_norm(mask, p, q, t.search)
-            values.append(est.value)
+    values = [[] for _ in cfg.pq_pairs]
+    for n in cfg.dims:
+        trials = [_trial(cfg, label, p, q, n, 0) for p, q in cfg.pq_pairs]
+        mask = standard_truncation_mask(n, n, n)
+        ests = multiplier_norms(mask, cfg.pq_pairs, [t.search for t in trials])
+        for t, est, vals in zip(trials, ests, values):
+            vals.append(est.value)
             rows.append(t.row("multiplier_norm", est.value, est.certainty))
-            if p == q == 2.0:
+            if t.p == t.q == 2.0:
                 rows.append(t.row("multiplier_norm_upper", multiplier_norm_upper(mask), UPPER_BOUND))
-        fit = _trial(cfg, label, p, q, 0, 0)
-        for metric, value in zip(("fit_slope", "fit_intercept", "fit_residual"), _fit_log(cfg.dims, values)):
-            rows.append(fit.row(metric, value, "derived"))
+    if len(cfg.dims) >= 2:
+        for (p, q), vals in zip(cfg.pq_pairs, values):
+            fit = _trial(cfg, label, p, q, 0, 0)
+            for metric, value in zip(("fit_slope", "fit_intercept", "fit_residual"), _fit_log(cfg.dims, vals)):
+                rows.append(fit.row(metric, value, "derived"))
     return _sort_rows(rows)
 
 

@@ -312,6 +312,20 @@ def _start_vectors(shape, cfg: SearchConfig) -> np.ndarray:
     return starts
 
 
+def search_configs(cfg, k: int, caller: str, items: str) -> list[SearchConfig]:
+    """One SearchConfig for each of k items: cfg itself k times (the
+    default for None), or a sequence of k configs, which must share one
+    tol and one max_iter; otherwise a ValueError naming caller and items."""
+    if cfg is None or isinstance(cfg, SearchConfig):
+        return [cfg or SearchConfig()] * k
+    cfgs = list(cfg)
+    if len(cfgs) != k:
+        raise ValueError(f"{caller} got {len(cfgs)} search configs for {k} {items}")
+    if len({(c.tol, c.max_iter) for c in cfgs}) > 1:
+        raise ValueError(f"the search configs of one {caller} call must share tol and max_iter")
+    return cfgs
+
+
 def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
     """`opnorm` of each matrix in mats, all of one shape. cfg is one
     SearchConfig for every matrix or a sequence of one per matrix; matrix
@@ -328,14 +342,7 @@ def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None
             raise ValueError("matrix entries must be finite")
     if len({S.shape for S in mats}) > 1:
         raise ValueError("opnorms takes matrices of one shape")
-    if cfg is None or isinstance(cfg, SearchConfig):
-        cfgs = [cfg or SearchConfig()] * len(mats)
-    else:
-        cfgs = list(cfg)
-        if len(cfgs) != len(mats):
-            raise ValueError(f"opnorms got {len(cfgs)} search configs for {len(mats)} matrices")
-        if len({(c.tol, c.max_iter) for c in cfgs}) > 1:
-            raise ValueError("the search configs of one opnorms block must share tol and max_iter")
+    cfgs = search_configs(cfg, len(mats), "opnorms", "matrices")
     if p == 1.0:
         return [_exact_p1(S, q) for S in mats]
     if q == INF:

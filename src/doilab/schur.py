@@ -9,6 +9,7 @@ Index convention: multiplier entry (k, j) couples output coordinate k
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .norms import (
     check_exponent,
     opnorm,  # noqa: F401  bound here for bench/, which traces schur.opnorm
     opnorms,
+    search_configs,
 )
 
 
@@ -212,19 +214,25 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
     return np.conj(W)
 
 
-def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
-    """Norm of S -> M * S on L(l_p, l_q). Exact (max modulus) for p=1 or
-    q=inf; otherwise a lower bound: the largest ratio ||M o S|| / ||S||
-    over three deterministic witnesses, tried in this order and replaced
-    only by a strictly larger ratio: the max-modulus floor (the matrix unit
-    at a largest entry), the Hilbert-type witness and conj(W) from
-    `_s1_witness`. At p=q=2 both norms of a ratio are exact SVD norms, and
-    the conj(W) ratio is at least the S_1 value of the best iterate because
-    ||W|| = 1; at other pairs they are `opnorms` estimates, all four in one
-    block."""
+def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
+    """Norm of S -> M * S on L(l_p, l_q) for each (p, q) in pairs. Exact
+    (max modulus) for p=1 or q=inf; otherwise a lower bound: the largest
+    ratio ||M o S|| / ||S|| over three deterministic witnesses, tried in
+    this order and replaced only by a strictly larger ratio: the max-modulus
+    floor (the matrix unit at a largest entry), the Hilbert-type witness and
+    conj(W) from `_s1_witness`. At p=q=2 both norms of a ratio are exact SVD
+    norms, and the conj(W) ratio is at least the S_1 value of the best
+    iterate because ||W|| = 1; at other pairs they are `opnorms` estimates,
+    all four in one block with that pair's config.
+
+    cfg is one SearchConfig for every pair or a sequence of one per pair,
+    all sharing one tol and one max_iter, as in `opnorms`. The witnesses
+    depend only on M, tol and max_iter, so they are built once, on the
+    first pair that needs them, and every pair is evaluated at the same set.
+    Estimates that report the same witness share its array."""
     M = np.asarray(M)
-    p = check_exponent(p)
-    q = check_exponent(q)
+    pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
+    cfgs = search_configs(cfg, len(pairs), "multiplier_norms", "pairs")
     if M.size == 0:
         raise ValueError("empty mask")
     if not np.all(np.isfinite(M)):
@@ -233,19 +241,28 @@ def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)
     unit[kj] = 1.0
-    if p == 1.0 or q == INF:
-        return NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry")
-    best = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
-    if maxmod == 0.0:
-        return best
-    cfg = cfg or SearchConfig()
-    cands = [hilbert_type_witness(*M.shape), _s1_witness(M, cfg, maxmod)]
-    if p == q == 2.0:
-        ratios = [_svd_ratio(M, S) for S in cands]
-    else:
-        ests = opnorms(cands + [M * S for S in cands], p, q, cfg)
-        ratios = [num.value / den.value if den.value != 0.0 else 0.0 for den, num in zip(ests, ests[2:])]
-    for S, r in zip(cands, ratios):
-        if r > best.value:
-            best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
-    return best
+    cands = None
+    out = []
+    for (p, q), c in zip(pairs, cfgs):
+        if p == 1.0 or q == INF:
+            out.append(NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry"))
+            continue
+        best = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
+        if maxmod > 0.0:
+            if cands is None:
+                cands = [hilbert_type_witness(*M.shape), _s1_witness(M, c, maxmod)]
+            if p == q == 2.0:
+                ratios = [_svd_ratio(M, S) for S in cands]
+            else:
+                ests = opnorms(cands + [M * S for S in cands], p, q, c)
+                ratios = [num.value / den.value if den.value != 0.0 else 0.0 for den, num in zip(ests, ests[2:])]
+            for S, r in zip(cands, ratios):
+                if r > best.value:
+                    best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
+        out.append(best)
+    return out
+
+
+def multiplier_norm(M, p, q, cfg: SearchConfig | None = None) -> NormEstimate:
+    """`multiplier_norms` at the one pair (p, q)."""
+    return multiplier_norms(M, [(p, q)], cfg)[0]

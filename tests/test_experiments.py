@@ -62,7 +62,12 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize(
     "patch",
-    [{"trials": 0}, {"dims": []}, {"eps": 1.5}, {"eps": 0.0}, {"pq_pairs": [[0.5, 2]]}],
+    [
+        {"trials": 0}, {"dims": []}, {"eps": 1.5}, {"eps": 0.0}, {"pq_pairs": [[0.5, 2]]},
+        {"dims": [4, 4]}, {"dims": [2, 4, 2]}, {"pq_pairs": [[2, 2], [2, 2]]},
+        # duplicates after parsing: "inf" and 1e400 both parse to inf
+        {"pq_pairs": [[1, "inf"], [1, 1e400]]}, {"pq_pairs": [[2, 2.0], [1, 2], [2, 2]]},
+    ],
 )
 def test_config_validation_errors(patch):
     with pytest.raises(ConfigError):
@@ -93,6 +98,15 @@ def test_truncation_growth_emits_fits_and_exact_rows():
     assert all(r.certainty == "exact" for r in norms)
     slopes = [r for r in rows if r.metric == "fit_slope"]
     assert len(slopes) == 1 and abs(slopes[0].value) <= 1e-9
+
+
+def test_truncation_growth_fits_nothing_through_one_dimension(tmp_path):
+    cfg = ExperimentConfig(seed=1, dims=[4], pq_pairs=[(2.0, 2.0), (2.0, 4.0)], trials=1)
+    rows = run_truncation_growth(cfg)
+    assert sorted(r.metric for r in rows) == ["multiplier_norm", "multiplier_norm", "multiplier_norm_upper"]
+    write_outputs(rows, cfg, str(tmp_path / "one.csv"))
+    summary = json.loads((tmp_path / "one.csv.summary.json").read_text())
+    assert summary["fits"] == {} and summary["row_count"] == 3
 
 
 def test_commutator_ratios_identity_control_rows():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doilab import schur
 from doilab.experiments import ExperimentConfig, config_from_dict, run_truncation_growth
 from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorms
 from doilab.schur import (
@@ -18,6 +19,7 @@ from doilab.schur import (
     hilbert_type_witness,
     multiplier_norm,
     multiplier_norm_upper,
+    multiplier_norms,
     repeat_first_column,
     schur_product,
     sequence_truncation,
@@ -449,3 +451,71 @@ def test_hilbert_type_witness_values():
     assert h[1, 0] == 1.0
     assert h[0, 1] == -1.0
     assert h[2, 0] == pytest.approx(0.5)
+
+
+# ------------------------------------- one witness set shared by every pair
+
+
+PAIRS = [(2.0, 2.0), (2.0, 4.0), (3.0, 1.5), (1.0, 2.0), (INF, INF)]
+
+
+def _counting_s1_witness(monkeypatch) -> list:
+    """Replace schur._s1_witness by a counting wrapper; returns the call log."""
+    calls, witness = [], schur._s1_witness
+
+    def counting(M, cfg, maxmod):
+        calls.append(M.shape)
+        return witness(M, cfg, maxmod)
+
+    monkeypatch.setattr(schur, "_s1_witness", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "M",
+    [*(standard_truncation_mask(n, n, n) for n in (2, 8, 32)), list(_complex_masks())[2]],
+    ids=["staircase2", "staircase8", "staircase32", "complex3x7"],
+)
+def test_multiplier_norms_equal_per_pair_multiplier_norm(M):
+    # 40 starts exceed n + 1 for every mask here, so each pair's seeded
+    # Gaussian starts take part and differ between pairs
+    cfgs = [SearchConfig(multistarts=40, max_iter=300, seed=100 + i) for i in range(len(PAIRS))]
+    for est, (p, q), cfg in zip(multiplier_norms(M, PAIRS, cfgs), PAIRS, cfgs):
+        ref = multiplier_norm(M, p, q, cfg)
+        assert (est.value, est.certainty, est.method) == (ref.value, ref.certainty, ref.method)
+        assert est.witness.tobytes() == ref.witness.tobytes()
+
+
+def test_multiplier_norms_builds_the_witness_once_and_only_when_needed(monkeypatch):
+    calls = _counting_s1_witness(monkeypatch)
+    M = standard_truncation_mask(8, 8, 8)
+    multiplier_norms(M, PAIRS, SearchConfig(multistarts=2))
+    assert len(calls) == 1
+    # exact pairs alone, and a zero mask at any pair, need no witness
+    ests = multiplier_norms(M, [(1.0, 2.0), (INF, INF), (1.0, 1.0)])
+    assert [e.certainty for e in ests] == [EXACT] * 3
+    zero = multiplier_norms(np.zeros((3, 4)), PAIRS)
+    assert [e.value for e in zero] == [0.0] * len(PAIRS)
+    assert [e.certainty for e in zero] == [LOWER_BOUND, LOWER_BOUND, LOWER_BOUND, EXACT, EXACT]
+    assert len(calls) == 1
+    assert multiplier_norms(M, []) == []
+
+
+def test_multiplier_norms_rejects_mismatched_configs():
+    M = standard_truncation_mask(4, 4, 4)
+    with pytest.raises(ValueError, match="2 search configs for 3 pairs"):
+        multiplier_norms(M, PAIRS[:3], [SearchConfig(), SearchConfig()])
+    for patch in ({"tol": 1e-6}, {"max_iter": 10}):
+        with pytest.raises(ValueError, match="share tol and max_iter"):
+            multiplier_norms(M, PAIRS[:2], [SearchConfig(), replace(SearchConfig(), **patch)])
+    # a mismatch is an error even where every pair is exact
+    with pytest.raises(ValueError, match="share tol and max_iter"):
+        multiplier_norms(M, [(1.0, 2.0), (INF, INF)], [SearchConfig(), SearchConfig(tol=1e-6)])
+
+
+def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
+    calls = _counting_s1_witness(monkeypatch)
+    dims = [2, 4, 8]
+    cfg = ExperimentConfig(seed=3, dims=dims, pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)
+    run_truncation_growth(cfg)
+    assert calls == [(n, n) for n in dims]
