@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import SearchConfig, check_exponent, opnorm
+from .norms import EXACT, SearchConfig, check_exponent, opnorm, opnorm_upper
 from .schur import (
     abs_divided_difference,
     divided_difference_matrix,
@@ -52,6 +52,9 @@ class CommutatorReport:
     lhs_norm: float
     rhs_norm: float
     ratio: float  # math.inf flags rhs below cutoff
+    # lhs_norm over an upper bound on ||BS - SA|| (rhs_norm itself where it
+    # is exact): a certified lower bound on the ratio; math.inf where ratio is
+    ratio_lower: float
     identity_residual: float
     norms_meta: dict
 
@@ -69,10 +72,12 @@ def commutator_transform(
     the discrete DOI acting on BS - SA, and report norms and ratio; returns
     one report per f.
 
-    BS - SA, its norm and V(BS - SA)U^{-1} do not depend on f and are
-    computed once. The divided differences take the value 1 on coincident
-    eigenvalues: the identity holds for any value there, since entry (k, j)
-    of V(BS - SA)U^{-1} is (mu_k - lambda_j)(VSU^{-1})_kj, and so vanishes.
+    BS - SA, its norm, an upper bound on that norm (`opnorm_upper` where
+    `opnorm` has no exact branch) and V(BS - SA)U^{-1} do not depend on f
+    and are computed once. The divided differences take the value 1 on
+    coincident eigenvalues: the identity holds for any value there, since
+    entry (k, j) of V(BS - SA)U^{-1} is (mu_k - lambda_j)(VSU^{-1})_kj, and
+    so vanishes.
     """
     p = check_exponent(p)
     q = check_exponent(q)
@@ -80,6 +85,8 @@ def commutator_transform(
     S = np.asarray(S, dtype=complex)
     comm = assemble(b) @ S - S @ assemble(a)
     rhs = opnorm(comm, p, q, cfg)
+    rhs_upper = rhs.value if rhs.certainty == EXACT else opnorm_upper(comm, p, q)
+    flagged = rhs.value < RHS_ZERO_CUTOFF
     mid = b.u @ comm @ a.u_inv
     reports = []
     for f in fs:
@@ -91,7 +98,8 @@ def commutator_transform(
             CommutatorReport(
                 lhs_norm=lhs.value,
                 rhs_norm=rhs.value,
-                ratio=math.inf if rhs.value < RHS_ZERO_CUTOFF else lhs.value / rhs.value,
+                ratio=math.inf if flagged else lhs.value / rhs.value,
+                ratio_lower=math.inf if flagged else lhs.value / rhs_upper,
                 identity_residual=float(np.abs(d1 - d2).max()),
                 norms_meta={"lhs": lhs.certainty, "rhs": rhs.certainty},
             )

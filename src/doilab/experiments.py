@@ -204,9 +204,9 @@ def _trials(cfg: ExperimentConfig, label: str, p: float, q: float):
 
 def _certainty(*tags: str) -> str:
     """Tag of a value computed from estimates with these tags: exact when
-    all are, otherwise lower_bound. A lower bound divided by exact values
-    or upper bounds is a lower bound; a ratio of two lower bounds, as at a
-    (p, q) without an exact branch, is not, but carries the same tag."""
+    all are, otherwise lower_bound. That holds for a lower bound divided by
+    exact values or upper bounds; a ratio of two lower bounds is neither a
+    lower nor an upper bound, and callers must not tag one with this."""
     return EXACT if all(t == EXACT for t in tags) else LOWER_BOUND
 
 
@@ -270,7 +270,7 @@ def _sample_controlled_operator(rng, n, p):
         except np.linalg.LinAlgError:
             delta *= 0.7
             continue
-        if opnorm_upper(u, p) * opnorm_upper(u_inv, p) <= K_TARGET:
+        if opnorm_upper(u, p, p) * opnorm_upper(u_inv, p, p) <= K_TARGET:
             return DiagonalizableOperator(lam, u, u_inv)
         delta *= 0.8
     return None
@@ -326,13 +326,18 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
             # of the two.
             phi = np.abs(abs_divided_difference(a.lambdas, b.lambdas))
             phi[b.lambdas[:, None] == a.lambdas[None, :]] = 0.0  # no witness there
-            norm_ratio = max(rep.ratio, float(phi.max())) / (k_a.value * k_b.value)
-            # dividing by a K that is only an upper bound gives a lower bound
+            # ratio_lower divides by an upper bound on ||BS - SA|| where that
+            # norm has no exact branch, and dividing by a K that is only an
+            # upper bound also gives a lower bound
+            norm_ratio = max(rep.ratio_lower, float(phi.max())) / (k_a.value * k_b.value)
             rows.append(t.row(
                 "normalized_ratio", norm_ratio,
                 _certainty(*rep.norms_meta.values(), k_a.certainty, k_b.certainty),
             ))
-            rows.append(t.row("identity_ratio", ctrl.ratio, _certainty(*ctrl.norms_meta.values())))
+            # lhs and rhs of the identity control are one matrix: off the
+            # exact branches its ratio is one estimate divided by itself
+            ctrl_tag = _certainty(*ctrl.norms_meta.values())
+            rows.append(t.row("identity_ratio", ctrl.ratio, ctrl_tag if ctrl_tag == EXACT else "derived"))
     return _sort_rows(rows)
 
 

@@ -443,13 +443,46 @@ def riesz_thorin(n1: float, n2: float | None, ninf: float, p: float) -> float:
     return n2**theta * ninf ** (1.0 - theta)
 
 
-def opnorm_upper(S, p) -> float:
-    """Upper bound on the l_p -> l_p norm: exact at p in {1, 2, inf},
-    Riesz-Thorin interpolation between those anchors otherwise."""
+def _embedding_norm(k: int, r: float, s: float) -> float:
+    """||I||_{l_r^k -> l_s^k} = k^max(0, 1/s - 1/r)."""
+    return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
+
+
+def opnorm_upper(S, p, q) -> float:
+    """Certified upper bound on the l_p -> l_q norm of the m x n matrix S.
+
+    At p = q: exact at p in {1, 2, inf}, Riesz-Thorin interpolation between
+    those anchors otherwise. At p != q: exact on the p = 1 and q = inf
+    branches, otherwise the least of
+    - the (2,2) anchor ||I||_{p->2} sigma_max ||I||_{2->q};
+    - the (1,q) anchor n^(1-1/p) ||S||_{1->q};
+    - the (p,inf) anchor m^(1/q) ||S||_{p->inf};
+    - the (inf,1) corner sum |s_kj|, through ||I||_{p->inf} = ||I||_{1->q} = 1;
+    - at p = 2 < q, Riesz-Thorin on the segment from (2,2) to (2,inf),
+      sigma_max^(2/q) ||S||_{2->inf}^(1-2/q), valid for complex scalars.
+    """
     p = check_exponent(p)
+    q = check_exponent(q)
     S = np.asarray(S, dtype=complex)
-    a = np.abs(S)
-    n1 = float(a.sum(axis=0).max())
-    ninf = float(a.sum(axis=1).max())
-    n2 = float(np.linalg.svd(S, compute_uv=False)[0]) if 1.0 < p < INF else None
-    return riesz_thorin(n1, n2, ninf, p)
+    if p == q:
+        a = np.abs(S)
+        n1 = float(a.sum(axis=0).max())
+        ninf = float(a.sum(axis=1).max())
+        n2 = float(np.linalg.svd(S, compute_uv=False)[0]) if 1.0 < p < INF else None
+        return riesz_thorin(n1, n2, ninf, p)
+    if p == 1.0:
+        return _exact_p1(S, q).value
+    if q == INF:
+        return _exact_qinf(S, p).value
+    m, n = S.shape
+    sigma = float(np.linalg.svd(S, compute_uv=False)[0])
+    to_inf = _exact_qinf(S, p).value
+    bounds = [
+        _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
+        _embedding_norm(n, p, 1.0) * _exact_p1(S, q).value,
+        to_inf * _embedding_norm(m, INF, q),
+        float(np.abs(S).sum()),
+    ]
+    if p == 2.0 and q > 2.0:
+        bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+    return min(bounds)

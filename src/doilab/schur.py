@@ -22,6 +22,7 @@ from .norms import (
     SearchConfig,
     check_exponent,
     opnorm,  # noqa: F401  bound here for bench/, which traces schur.opnorm
+    opnorm_upper,
     opnorms,
     search_configs,
 )
@@ -216,14 +217,17 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
 
 def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
     """Norm of S -> M * S on L(l_p, l_q) for each (p, q) in pairs. Exact
-    (max modulus) for p=1 or q=inf; otherwise a lower bound: the largest
-    ratio ||M o S|| / ||S|| over three deterministic witnesses, tried in
-    this order and replaced only by a strictly larger ratio: the max-modulus
-    floor (the matrix unit at a largest entry), the Hilbert-type witness and
-    conj(W) from `_s1_witness`. At p=q=2 both norms of a ratio are exact SVD
-    norms, and the conj(W) ratio is at least the S_1 value of the best
-    iterate because ||W|| = 1; at other pairs they are `opnorms` estimates,
-    all four in one block with that pair's config.
+    (max modulus) for p=1 or q=inf; otherwise a certified lower bound: the
+    largest ratio ||M o S|| / ||S|| over three deterministic witnesses,
+    tried in this order and replaced only by a strictly larger ratio: the
+    max-modulus floor (the matrix unit at a largest entry), the Hilbert-type
+    witness and conj(W) from `_s1_witness`. At p=q=2 both norms of a ratio
+    are exact SVD norms, and the conj(W) ratio is at least the S_1 value of
+    the best iterate because ||W|| = 1. At other pairs a ratio divides an
+    `opnorms` lower bound on ||M o S|| by `opnorm_upper(S, p, q)`. A witness
+    whose ratio of upper bounds `opnorm_upper(M o S) / opnorm_upper(S)` is
+    at most the floor cannot beat it and is not searched; the numerators of
+    the others run in one block with that pair's config.
 
     cfg is one SearchConfig for every pair or a sequence of one per pair,
     all sharing one tol and one max_iter, as in `opnorms`. The witnesses
@@ -252,11 +256,17 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
             if cands is None:
                 cands = [hilbert_type_witness(*M.shape), _s1_witness(M, c, maxmod)]
             if p == q == 2.0:
-                ratios = [_svd_ratio(M, S) for S in cands]
+                tried, ratios = cands, [_svd_ratio(M, S) for S in cands]
             else:
-                ests = opnorms(cands + [M * S for S in cands], p, q, c)
-                ratios = [num.value / den.value if den.value != 0.0 else 0.0 for den, num in zip(ests, ests[2:])]
-            for S, r in zip(cands, ratios):
+                tried, dens = [], []
+                for S in cands:
+                    den = opnorm_upper(S, p, q)
+                    if den > 0.0 and opnorm_upper(M * S, p, q) / den > maxmod:
+                        tried.append(S)
+                        dens.append(den)
+                nums = opnorms([M * S for S in tried], p, q, c)
+                ratios = [num.value / den for num, den in zip(nums, dens)]
+            for S, r in zip(tried, ratios):
                 if r > best.value:
                     best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
         out.append(best)

@@ -168,7 +168,7 @@ def spectral_constant(op: DiagonalizableOperator, p, cfg: SearchConfig | None = 
 
 def _diag_scaling_objective(op: DiagonalizableOperator, logd: np.ndarray, p: float) -> float:
     d = np.exp(logd)
-    return opnorm_upper(d[:, None] * op.u, p) * opnorm_upper(op.u_inv / d[None, :], p)
+    return opnorm_upper(d[:, None] * op.u, p, p) * opnorm_upper(op.u_inv / d[None, :], p, p)
 
 
 def _endpoint_scaling(op: DiagonalizableOperator, p: float) -> np.ndarray:
@@ -303,7 +303,7 @@ def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimat
     """
     p = check_exponent(p)
     if p == 1.0 or p == INF:
-        value = opnorm_upper(np.abs(op.u_inv) @ np.abs(op.u), p)
+        value = opnorm_upper(np.abs(op.u_inv) @ np.abs(op.u), p, p)
         logd = np.log(_endpoint_scaling(op, p))
         return ConstantEstimate(max(value, 1.0), EXACT, _scaling_argument(logd))
     if op.n == 1:

@@ -12,7 +12,7 @@ from doilab.doi import (
     sobolev_weight_norm,
     truncation_bound_check,
 )
-from doilab.norms import SearchConfig
+from doilab.norms import SearchConfig, opnorm_upper
 from doilab.schur import (
     abs_divided_difference,
     divided_difference_matrix,
@@ -20,7 +20,7 @@ from doilab.schur import (
     standard_truncation,
     standard_truncation_mask,
 )
-from doilab.spectral import DiagonalizableOperator
+from doilab.spectral import DiagonalizableOperator, assemble
 
 
 def random_pair(seed, n=4, delta=0.2):
@@ -120,12 +120,25 @@ def test_commutator_report_invariants():
     assert rep.norms_meta["lhs"] == "exact"
 
 
+@pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 2.0), (2.0, 4.0), (3.0, 1.5)])
+def test_commutator_ratio_lower_divides_by_an_upper_bound(p, q):
+    a, b, S = random_pair(6, n=5)
+    cfg = SearchConfig(multistarts=4, seed=2)
+    [rep] = commutator_transform(a, b, S, [abs], p, q, cfg)
+    if rep.norms_meta["rhs"] == "exact":
+        assert rep.ratio_lower == rep.ratio
+    else:
+        comm = assemble(b) @ S - S @ assemble(a)
+        assert rep.ratio_lower == rep.lhs_norm / opnorm_upper(comm, p, q)
+        assert rep.ratio_lower <= rep.ratio
+
+
 def test_commutator_intertwining_flags_infinite_ratio():
     a = DiagonalizableOperator.diagonal([1.0, 2.0])
     b = DiagonalizableOperator.diagonal([1.0, 2.0])
     [rep] = commutator_transform(a, b, np.eye(2), [abs], 2, 2)
     assert rep.rhs_norm <= 1e-14
-    assert rep.ratio == math.inf
+    assert rep.ratio == rep.ratio_lower == math.inf
 
 
 @pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 2.0), (3.0, 1.5)])

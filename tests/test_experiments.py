@@ -124,6 +124,16 @@ def test_commutator_ratios_identity_control_rows():
     assert norm == {2.0: ["lower_bound"] * 3, INF: ["exact"] * 3}
 
 
+def test_commutator_ratios_tags_off_the_exact_branches():
+    # normalized_ratio divides by an upper bound on ||BS - SA||, a certified
+    # lower bound; identity_ratio is one estimate divided by itself
+    cfg = ExperimentConfig(seed=3, dims=[3], pq_pairs=[(2.0, 4.0), (3.0, 1.5)], trials=2)
+    tags = {}
+    for r in run_commutator_ratios(cfg):
+        tags.setdefault(r.metric, set()).add(r.certainty)
+    assert tags == {"normalized_ratio": {"lower_bound"}, "identity_ratio": {"derived"}}
+
+
 def test_commutator_ratios_one_transform_per_trial(monkeypatch):
     calls, transform = [], experiments.commutator_transform
 

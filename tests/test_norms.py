@@ -566,14 +566,96 @@ def test_upper_bound_dominates_lower_bound(seed, p):
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((4, 4))
     lower = opnorm(S, p, p, SearchConfig(multistarts=6)).value
-    upper = opnorm_upper(S, p)
+    upper = opnorm_upper(S, p, p)
     assert upper >= lower - 1e-9 * max(1.0, lower)
 
 
 def test_upper_bound_exact_at_anchors():
     rng = np.random.default_rng(3)
     S = rng.standard_normal((4, 4))
-    assert opnorm_upper(S, 1) == pytest.approx(opnorm(S, 1, 1).value)
-    assert opnorm_upper(S, 2) == pytest.approx(opnorm(S, 2, 2).value)
+    assert opnorm_upper(S, 1, 1) == pytest.approx(opnorm(S, 1, 1).value)
+    assert opnorm_upper(S, 2, 2) == pytest.approx(opnorm(S, 2, 2).value)
     a = np.abs(S)
-    assert opnorm_upper(S, INF) == pytest.approx(a.sum(axis=1).max())
+    assert opnorm_upper(S, INF, INF) == pytest.approx(a.sum(axis=1).max())
+
+
+# ------------------------------------------- p -> q upper bound, p != q
+
+MIXED_PAIRS = [(2.0, 4.0), (3.0, 1.5), (1.5, 3.0), (2.5, 2.0), (2.0, 1.5), (4.0, 2.0)]
+SHAPES = [(4, 4), (3, 5), (6, 2), (1, 4), (4, 1)]
+
+
+def _upper_test_matrices(seed):
+    """Complex, real and sparse matrices of every shape in SHAPES; the
+    sparse ones make the (inf,1) corner the least bound at some pairs."""
+    rng = np.random.default_rng(seed)
+    for shape in SHAPES:
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        yield rng.standard_normal(shape)
+        yield rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+
+
+@pytest.mark.parametrize("p, q", MIXED_PAIRS)
+def test_opnorm_upper_dominates_a_strong_search(p, q):
+    cfg = SearchConfig(multistarts=64, max_iter=2000, seed=5)
+    for S in _upper_test_matrices(11):
+        lower = opnorm(S, p, q, cfg).value
+        assert opnorm_upper(S, p, q) >= lower * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("p, q", MIXED_PAIRS)
+def test_opnorm_upper_dominates_the_grid_oracle(p, q):
+    for S in _upper_test_matrices(12):
+        if S.shape[1] <= 4:
+            grid = opnorm_bruteforce(S, p, q, resolution=32).value
+            assert opnorm_upper(S, p, q) >= grid * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_opnorm_upper_dominates_sign_enumeration_at_p_inf(q):
+    # exact for real S at p = inf: the sup is attained at a sign vector
+    rng = np.random.default_rng(13)
+    for shape in SHAPES:
+        for S in (rng.standard_normal(shape), rng.standard_normal(shape) * (rng.random(shape) < 0.3)):
+            exact = opnorm_bruteforce(S, INF, q).value
+            assert opnorm_upper(S, INF, q) >= exact * (1.0 - 1e-12)
+
+
+def test_opnorm_upper_equals_the_exact_branches():
+    for S in _upper_test_matrices(14):
+        for q in (1.5, 2.0, 3.0, INF):
+            assert opnorm_upper(S, 1.0, q) == opnorm(S, 1.0, q).value
+        for p in (1.5, 2.0, 3.0):
+            assert opnorm_upper(S, p, INF) == opnorm(S, p, INF).value
+        assert opnorm_upper(S, 2.0, 2.0) == pytest.approx(opnorm(S, 2.0, 2.0).value, rel=1e-12)
+
+
+def test_opnorm_upper_closed_forms_off_the_diagonal():
+    # the identity attains each embedding norm ||I||_{p->q} = n^max(0, 1/q - 1/p)
+    for n in (1, 3, 8):
+        for p, q in MIXED_PAIRS:
+            assert opnorm_upper(np.eye(n), p, q) == pytest.approx(n ** max(0.0, 1 / q - 1 / p), rel=1e-12)
+    # a matrix unit has norm 1 everywhere
+    unit = np.zeros((3, 5))
+    unit[1, 2] = 1.0
+    assert [opnorm_upper(unit, p, q) for p, q in MIXED_PAIRS] == [1.0] * len(MIXED_PAIRS)
+    assert opnorm_upper(np.zeros((2, 3)), 3.0, 1.5) == 0.0
+
+
+# values of the parent implementation, l_p -> l_p on two seeded complex matrices
+P_EQUALS_Q_PINS = {
+    (4, 4): ["0x1.8d73af94fa8a1p+2", "0x1.5556d1e38f866p+2", "0x1.3c53d232fa261p+2",
+             "0x1.78685a3f71c91p+2", "0x1.0a7bf81d6a7c0p+3"],
+    (3, 5): ["0x1.ff2a218d74cc0p+1", "0x1.ddf04083469ecp+1", "0x1.ce24f2ce6877bp+1",
+             "0x1.2179e65687838p+2", "0x1.c64cebf424b1ep+2"],
+}
+
+
+def test_opnorm_upper_at_p_equals_q_is_pinned():
+    # the rejection sampler and K's scoring call it at p = q: a change in
+    # the last bit would change every sampled instance
+    rng = np.random.default_rng(21)
+    for shape, pins in P_EQUALS_Q_PINS.items():
+        S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = [opnorm_upper(S, p, p) for p in (1.0, 1.5, 2.0, 3.0, INF)]
+        assert got == [float.fromhex(h) for h in pins]

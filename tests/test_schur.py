@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from doilab import schur
 from doilab.experiments import ExperimentConfig, config_from_dict, run_truncation_growth
-from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorms
+from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm_upper, opnorms
 from doilab.schur import (
     StaircaseDescriptor,
     abs_divided_difference,
@@ -238,18 +238,22 @@ def test_multiplier_norm_max_entry_floor(seed):
     assert est.value >= np.abs(M).max() - 1e-12
 
 
+def _pm1_mask(n):
+    """A +-1 mask on which the witnesses beat the floor 1 off (2,2)."""
+    j = np.arange(n)
+    return np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :]))
+
+
 @pytest.mark.parametrize("p, q, n, value", [
     (2.0, 4.0, 8, "0x1.5a98e3e11603ap+0"),
     (2.0, 4.0, 32, "0x1.312cc1b50571ap+0"),
-    (3.0, 1.5, 8, "0x1.1a327e4ddf1e9p+1"),
-    (3.0, 1.5, 32, "0x1.48f57c5fa0b57p+1"),
+    (3.0, 1.5, 8, "0x1.127b48a23b095p+1"),
+    (3.0, 1.5, 32, "0x1.4583c699852cbp+1"),
 ])
 def test_multiplier_norm_pinned_values(p, q, n, value):
     # reruns must be byte-identical, so a change to the norm search must
-    # reproduce these; on this +-1 mask the witnesses beat the floor 1
-    j = np.arange(n)
-    M = np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :]))
-    est = multiplier_norm(M, p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
+    # reproduce these
+    est = multiplier_norm(_pm1_mask(n), p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
     assert est.value == float.fromhex(value)
 
 
@@ -362,12 +366,13 @@ def test_s1_alternation_value_reevaluates_from_witness_and_beats_floors():
 
 @pytest.mark.parametrize("p, q", [(2.0, 4.0), (3.0, 1.5)])
 def test_multiplier_norm_value_reevaluates_from_witness_off_22(p, q):
+    # a lower bound on ||M o S|| over an upper bound on ||S||
     cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
     for M in [standard_truncation_mask(8, 8, 8), *_complex_masks()]:
         est = multiplier_norm(M, p, q, cfg)
         S = est.witness.reshape(M.shape)
-        den, num = opnorms([S, M * S], p, q, cfg)
-        assert est.value == pytest.approx(num.value / den.value, rel=1e-12)
+        [num] = opnorms([M * S], p, q, cfg)
+        assert est.value == pytest.approx(num.value / opnorm_upper(S, p, q), rel=1e-12)
         assert est.value >= np.abs(M).max()
 
 
@@ -519,3 +524,53 @@ def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
     cfg = ExperimentConfig(seed=3, dims=dims, pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)
     run_truncation_growth(cfg)
     assert calls == [(n, n) for n in dims]
+
+
+# ------------------------------------ pruned candidates off (2,2) and exact
+
+
+def _unpruned_multiplier_norm(M, p, q, cfg):
+    """`multiplier_norm` off (2,2) with every witness's numerator searched:
+    the floor, then the Hilbert-type witness and conj(W), each replaced
+    only by a strictly larger ratio of an `opnorms` numerator over
+    `opnorm_upper` of the witness."""
+    maxmod = float(np.abs(M).max())
+    kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
+    best_value, best_witness = maxmod, np.zeros(M.shape, dtype=complex)
+    best_witness[kj] = 1.0
+    cands = [hilbert_type_witness(*M.shape), schur._s1_witness(M, cfg, maxmod)]
+    for S, num in zip(cands, opnorms([M * S for S in cands], p, q, cfg)):
+        den = opnorm_upper(S, p, q)
+        r = num.value / den if den > 0.0 else 0.0
+        if r > best_value:
+            best_value, best_witness = r, S
+    return best_value, best_witness.ravel()
+
+
+@pytest.mark.parametrize(
+    "M",
+    [*(standard_truncation_mask(n, n, n) for n in TRUNCATION_DIMS), _pm1_mask(8), _pm1_mask(32)],
+    ids=[*(f"staircase{n}" for n in TRUNCATION_DIMS), "pm1_8", "pm1_32"],
+)
+def test_pruned_multiplier_norms_equal_the_unpruned_reference(M):
+    pairs = [(2.0, 4.0), (3.0, 1.5)]
+    cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
+    for est, (p, q) in zip(multiplier_norms(M, pairs, cfg), pairs):
+        value, witness = _unpruned_multiplier_norm(M, p, q, cfg)
+        assert (est.value, est.certainty) == (value, LOWER_BOUND)
+        assert est.witness.tobytes() == witness.tobytes()
+
+
+def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_floor(monkeypatch):
+    # at n = 8 the Hilbert-type witness is pruned at both pairs (its ratio
+    # of upper bounds is below 1) and conj(W) is searched at both
+    sizes, search = [], schur.opnorms
+
+    def counting(mats, *args):
+        sizes.append(len(mats))
+        return search(mats, *args)
+
+    monkeypatch.setattr(schur, "opnorms", counting)
+    M = standard_truncation_mask(8, 8, 8)
+    multiplier_norms(M, [(2.0, 4.0), (3.0, 1.5)], SearchConfig(multistarts=2))
+    assert sizes == [1, 1]

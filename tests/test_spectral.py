@@ -254,7 +254,7 @@ def test_normal_operator_constants_are_one():
 
 def scaled_product(op, d, p):
     """||DU||_p ||U^{-1}D^{-1}||_p for D = diag(d)."""
-    return opnorm_upper(d[:, None] * op.u, p) * opnorm_upper(op.u_inv / d[None, :], p)
+    return opnorm_upper(d[:, None] * op.u, p, p) * opnorm_upper(op.u_inv / d[None, :], p, p)
 
 
 @pytest.mark.parametrize("p", [1.0, INF])
