@@ -30,7 +30,6 @@ from .schur import (
     hilbert_type_witness,
     multiplier_norm,
     multiplier_norms,
-    multiplier_norm_upper,
     repeat_first_column,
     schur_product,
     sequence_truncation,

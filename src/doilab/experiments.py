@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorms
-from .schur import abs_divided_difference, multiplier_norm_upper, multiplier_norms, standard_truncation_mask
+from .schur import abs_divided_difference, multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
@@ -231,8 +231,10 @@ def _fit_log(ns, values):
 def run_truncation_growth(cfg: ExperimentConfig) -> list:
     """Per n, one `multiplier_norms` call on the n x n staircase holds every
     pair, each with its own seeded search, so the witness set is built once
-    per n. Each pair's norms are fitted against ln n when dims has at least
-    two entries."""
+    per n. A lower-bound estimate that carries an upper bound (at (2,2),
+    the Haagerup bound of the S_1 alternation) also gets a
+    `multiplier_norm_upper` row. Each pair's norms are fitted against ln n
+    when dims has at least two entries."""
     label = "truncation_growth"
     rows = []
     values = [[] for _ in cfg.pq_pairs]
@@ -243,8 +245,8 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
         for t, est, vals in zip(trials, ests, values):
             vals.append(est.value)
             rows.append(t.row("multiplier_norm", est.value, est.certainty))
-            if t.p == t.q == 2.0:
-                rows.append(t.row("multiplier_norm_upper", multiplier_norm_upper(mask), UPPER_BOUND))
+            if est.certainty == LOWER_BOUND and est.upper is not None:
+                rows.append(t.row("multiplier_norm_upper", est.upper, UPPER_BOUND))
     if len(cfg.dims) >= 2:
         for (p, q), vals in zip(cfg.pq_pairs, values):
             fit = _trial(cfg, label, p, q, 0, 0)

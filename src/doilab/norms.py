@@ -121,6 +121,8 @@ class NormEstimate:
     certainty: str
     witness: np.ndarray
     method: str
+    # a certified upper bound, where the estimator gives one
+    upper: float | None = None
 
     def reevaluate(self, S, p, q) -> float:
         """Ratio ||S w||_q / ||w||_p achieved by the stored witness."""

@@ -21,9 +21,8 @@ from .norms import (
     NormEstimate,
     SearchConfig,
     check_exponent,
-    opnorm,  # noqa: F401  bound here for bench/, which traces schur.opnorm
+    opnorm,
     opnorm_upper,
-    opnorms,
     search_configs,
 )
 
@@ -151,21 +150,6 @@ def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
     return h
 
 
-def multiplier_norm_upper(M) -> float:
-    """Upper bound on the l_2 -> l_2 multiplier norm of M from Haagerup's
-    factorization theorem: any M_kj = <x_k, y_j> certifies
-    max_k ||x_k|| * max_j ||y_j||. The SVD split M = U S Vh takes x_k the
-    rows of U S^(1/2) and y_j the columns of S^(1/2) Vh; their norms do not
-    depend on which SVD the solver returns."""
-    M = np.asarray(M)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("mask entries must be finite")
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    x = np.sqrt((np.abs(U) ** 2 * s).sum(axis=1).max())
-    y = np.sqrt((np.abs(Vh) ** 2 * s[:, None]).sum(axis=0).max())
-    return float(x * y)
-
-
 def _svd_ratio(M: np.ndarray, S: np.ndarray) -> float:
     """||M o S|| / ||S|| on l_2, both norms exact (largest singular
     values); 0 when S is zero."""
@@ -173,10 +157,11 @@ def _svd_ratio(M: np.ndarray, S: np.ndarray) -> float:
     return float(np.linalg.norm(M * S, 2) / den) if den > 0.0 else 0.0
 
 
-def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
-    """conj(W) for the polar factor W of the best iterate of an alternation
-    that maximizes ||D_u M D_v||_{S_1} over unit u, v >= 0. At p=q=2 that
-    sup is the multiplier norm (trace-class duality); at other pairs
+def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.ndarray, float]:
+    """(conj(W), upper): conj(W) for the polar factor W of the best iterate
+    of an alternation that maximizes ||D_u M D_v||_{S_1} over unit u, v >= 0,
+    and the least p=q=2 upper bound that the iterates certify. At p=q=2
+    that sup is the multiplier norm (trace-class duality); at other pairs
     conj(W) is a witness without that guarantee.
 
     From u, v each iteration takes the SVD X = D_u M D_v = U s Vh, whose
@@ -186,19 +171,34 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
     for unit complex u, v, with equality of the S_1 norm at |u|, |v|, so the
     value never decreases. The loop stops when it rises by at most
     `cfg.tol` (relative) or after `cfg.max_iter` iterations. Needs
-    maxmod = max |M_kj| > 0."""
+    maxmod = max |M_kj| > 0.
+
+    The same SVD factors M_kj = <x_k, y_j> with x_k = (U s^(1/2))_k / u_k
+    and y_j = (s^(1/2) Vh)_j / v_j, taking x_k = 0 on a zero row of M and
+    y_j = 0 on a zero column. That needs u_k > 0 on every nonzero row and
+    v_j > 0 on every nonzero column; where it holds, Haagerup's
+    factorization theorem bounds the norm by max_k ||x_k|| * max_j ||y_j||.
+    The first iterate always certifies, and there the bound is the one of
+    the split M = (U s^(1/2)) (s^(1/2) Vh). At a stationary point every
+    ||x_k||^2 and ||y_j||^2 equals the S_1 value, so the bound meets it."""
     # the iterates of M / maxmod, whose entries have modulus <= 1, neither
     # underflow nor overflow; W does not depend on the scale of M
     A = M / maxmod
     m, n = M.shape
+    rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
     u = np.full(m, m**-0.5)
     v = np.full(n, n**-0.5)
-    value, W = 0.0, np.zeros(M.shape)
+    value, W, upper = 0.0, np.zeros(M.shape), INF
     for _ in range(cfg.max_iter):
         U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
         s1 = float(s.sum())
         if s1 > value:
             W = U @ Vh
+        ur, vc = u[rows], v[cols]
+        if ur.min() > 0.0 and vc.min() > 0.0:
+            x = np.sqrt((U * U.conj()).real @ s)[rows] / ur
+            y = np.sqrt(s @ (Vh * Vh.conj()).real)[cols] / vc
+            upper = min(upper, float(x.max() * y.max()))
         if s1 <= value * (1.0 + cfg.tol):
             break
         value = s1
@@ -212,22 +212,24 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> np.ndarray:
         if nu == 0.0:
             break
         u, v = np.abs(u) / nu, np.abs(v) / nv
-    return np.conj(W)
+    return np.conj(W), upper * maxmod
 
 
 def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
     """Norm of S -> M * S on L(l_p, l_q) for each (p, q) in pairs. Exact
     (max modulus) for p=1 or q=inf; otherwise a certified lower bound: the
     largest ratio ||M o S|| / ||S|| over three deterministic witnesses,
-    tried in this order and replaced only by a strictly larger ratio: the
-    max-modulus floor (the matrix unit at a largest entry), the Hilbert-type
-    witness and conj(W) from `_s1_witness`. At p=q=2 both norms of a ratio
-    are exact SVD norms, and the conj(W) ratio is at least the S_1 value of
-    the best iterate because ||W|| = 1. At other pairs a ratio divides an
-    `opnorms` lower bound on ||M o S|| by `opnorm_upper(S, p, q)`. A witness
-    whose ratio of upper bounds `opnorm_upper(M o S) / opnorm_upper(S)` is
-    at most the floor cannot beat it and is not searched; the numerators of
-    the others run in one block with that pair's config.
+    taken in this order and replaced only by a strictly larger ratio: the
+    max-modulus floor (the matrix unit at a largest entry), conj(W) from
+    `_s1_witness` and the Hilbert-type witness. At p=q=2 both norms of a
+    ratio are exact SVD norms, the conj(W) ratio is at least the S_1 value
+    of the best iterate because ||W|| = 1, and the estimate's `upper` is the
+    Haagerup bound of `_s1_witness` (0 for a zero mask). An exact estimate's
+    `upper` is its value; the other lower bounds carry none. At other pairs a
+    ratio divides an `opnorm` lower bound on ||M o S|| by
+    `opnorm_upper(S, p, q)`, and a witness whose ratio of upper bounds
+    `opnorm_upper(M o S) / opnorm_upper(S)` is at most the best ratio so far
+    cannot beat it and is not searched.
 
     cfg is one SearchConfig for every pair or a sequence of one per pair,
     all sharing one tol and one max_iter, as in `opnorms`. The witnesses
@@ -245,31 +247,28 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)
     unit[kj] = 1.0
-    cands = None
+    cands, upper = [], 0.0
     out = []
     for (p, q), c in zip(pairs, cfgs):
         if p == 1.0 or q == INF:
-            out.append(NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry"))
+            out.append(NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry", maxmod))
             continue
-        best = NormEstimate(maxmod, LOWER_BOUND, unit.ravel(), "s1_alternation")
-        if maxmod > 0.0:
-            if cands is None:
-                cands = [hilbert_type_witness(*M.shape), _s1_witness(M, c, maxmod)]
+        if maxmod > 0.0 and not cands:
+            W, upper = _s1_witness(M, c, maxmod)
+            cands = [W, hilbert_type_witness(*M.shape)]
+        best, witness = maxmod, unit
+        for S in cands:
             if p == q == 2.0:
-                tried, ratios = cands, [_svd_ratio(M, S) for S in cands]
+                r = _svd_ratio(M, S)
             else:
-                tried, dens = [], []
-                for S in cands:
-                    den = opnorm_upper(S, p, q)
-                    if den > 0.0 and opnorm_upper(M * S, p, q) / den > maxmod:
-                        tried.append(S)
-                        dens.append(den)
-                nums = opnorms([M * S for S in tried], p, q, c)
-                ratios = [num.value / den for num, den in zip(nums, dens)]
-            for S, r in zip(tried, ratios):
-                if r > best.value:
-                    best = NormEstimate(r, LOWER_BOUND, S.ravel(), "s1_alternation")
-        out.append(best)
+                den = opnorm_upper(S, p, q)
+                if den == 0.0 or opnorm_upper(M * S, p, q) / den <= best:
+                    continue
+                r = opnorm(M * S, p, q, c).value / den
+            if r > best:
+                best, witness = r, S
+        bound = upper if p == q == 2.0 else None
+        out.append(NormEstimate(best, LOWER_BOUND, witness.ravel(), "s1_alternation", bound))
     return out
 
 

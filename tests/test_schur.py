@@ -18,7 +18,6 @@ from doilab.schur import (
     divided_difference_matrix,
     hilbert_type_witness,
     multiplier_norm,
-    multiplier_norm_upper,
     multiplier_norms,
     repeat_first_column,
     schur_product,
@@ -415,13 +414,14 @@ def test_s1_alternation_zero_and_extreme_masks_without_warnings():
         for shape in [(1, 1), (3, 3), (2, 5)]:
             est = multiplier_norm(np.zeros(shape), 2, 2)
             assert est.value == 0.0 and est.certainty == LOWER_BOUND
-            assert multiplier_norm_upper(np.zeros(shape)) == 0.0
+            assert est.upper == 0.0
         # the norm is homogeneous, at scales where u^T M v under- or overflows
         T = standard_truncation_mask(8, 8, 8)
-        lower, upper = multiplier_norm(T, 2, 2).value, multiplier_norm_upper(T)
+        est = multiplier_norm(T, 2, 2)
         for c in (1e-300, 1e300):
-            assert multiplier_norm(c * T, 2, 2).value / c == pytest.approx(lower, rel=1e-12)
-            assert multiplier_norm_upper(c * T) / c == pytest.approx(upper, rel=1e-12)
+            scaled = multiplier_norm(c * T, 2, 2)
+            assert scaled.value / c == pytest.approx(est.value, rel=1e-12)
+            assert scaled.upper / c == pytest.approx(est.upper, rel=1e-12)
 
 
 def test_truncation_22_slope_is_seed_free():
@@ -435,19 +435,67 @@ def test_truncation_22_slope_is_seed_free():
     assert slopes[0] == slopes[1]
 
 
+def _svd_split_upper(M) -> float:
+    """Haagerup bound of the split M = (U s^(1/2)) (s^(1/2) Vh): the rows
+    of U s^(1/2) and the columns of s^(1/2) Vh factor M, so their largest
+    norms bound the (2,2) multiplier norm. This is the bound of the first
+    S_1 iterate."""
+    U, s, Vh = np.linalg.svd(np.asarray(M), full_matrices=False)
+    x = np.sqrt((np.abs(U) ** 2 * s).sum(axis=1).max())
+    y = np.sqrt((np.abs(Vh) ** 2 * s[:, None]).sum(axis=0).max())
+    return float(x * y)
+
+
+def _upper_masks():
+    yield from (standard_truncation_mask(n, n, n) for n in (1, *TRUNCATION_DIMS))
+    yield from _complex_masks()
+    yield from (np.diag(d) for d in ([3.0, 1.0, 0.0, 2.5], [2.0, 2.0, 1.0], [0.5]))
+    yield from (np.ones(shape) for shape in [(4, 4), (2, 5)])
+    yield from (np.zeros(shape) for shape in [(1, 1), (3, 4)])
+
+
 def test_multiplier_norm_upper_brackets_the_lower_bound():
-    for n in (1, 2, 4, 8, 16, 32, 64, 128):
-        M = standard_truncation_mask(n, n, n)
-        assert multiplier_norm_upper(M) >= multiplier_norm(M, 2, 2).value
-    for M in _complex_masks():
-        assert multiplier_norm_upper(M) >= multiplier_norm(M, 2, 2).value * (1.0 - 1e-12)
+    for M in _upper_masks():
+        est = multiplier_norm(M, 2, 2)
+        assert est.upper >= est.value * (1.0 - 1e-12)
+    # the alternation converges on the staircases, and its bound with it
+    for n in TRUNCATION_DIMS:
+        est = multiplier_norm(standard_truncation_mask(n, n, n), 2, 2)
+        assert est.upper / est.value - 1.0 <= 1e-4
+
+
+def test_multiplier_norm_upper_never_exceeds_the_svd_split():
+    for M in _upper_masks():
+        assert multiplier_norm(M, 2, 2).upper <= _svd_split_upper(M) * (1.0 + 1e-12)
 
 
 def test_multiplier_norm_upper_closed_forms():
-    assert multiplier_norm_upper(np.ones((4, 4))) == pytest.approx(1.0, rel=1e-12)
-    assert multiplier_norm_upper(np.ones((2, 5))) == pytest.approx(1.0, rel=1e-12)
+    assert multiplier_norm(np.ones((4, 4)), 2, 2).upper == pytest.approx(1.0, rel=1e-12)
+    assert multiplier_norm(np.ones((2, 5)), 2, 2).upper == pytest.approx(1.0, rel=1e-12)
     for d in ([3.0, 1.0, 0.0, 2.5], [2.0, 2.0, 1.0], [0.5]):
-        assert multiplier_norm_upper(np.diag(d)) == pytest.approx(max(d), rel=1e-12)
+        assert multiplier_norm(np.diag(d), 2, 2).upper == pytest.approx(max(d), rel=1e-12)
+
+
+def test_multiplier_norm_upper_is_certified_past_zero_rows_and_columns():
+    # rows 6 and columns 6..9 of this mask are zero, and so are u and v
+    # there after the first power step; iterates still certify, so the
+    # bound closes on the lower one instead of stopping at the first iterate
+    M = standard_truncation_mask(6, 9, 5)
+    est = multiplier_norm(M, 2, 2)
+    assert est.upper / est.value - 1.0 <= 1e-5
+    assert _svd_split_upper(M) / est.value - 1.0 >= 0.3
+    # zero rows and columns inside a complex mask
+    Z = list(_complex_masks())[4]
+    Z[[2, 7]] = 0.0
+    Z[:, [0, 5]] = 0.0
+    est = multiplier_norm(Z, 2, 2)
+    assert est.value * (1.0 - 1e-12) <= est.upper < _svd_split_upper(Z)
+
+
+def test_multiplier_norm_upper_only_at_22():
+    M = standard_truncation_mask(8, 8, 8)
+    ests = multiplier_norms(M, [(2.0, 4.0), (3.0, 1.5), (1.0, 2.0), (INF, INF)], SearchConfig(multistarts=2))
+    assert [e.upper for e in ests] == [None, None, 1.0, 1.0]
 
 
 def test_hilbert_type_witness_values():
@@ -531,14 +579,14 @@ def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
 
 def _unpruned_multiplier_norm(M, p, q, cfg):
     """`multiplier_norm` off (2,2) with every witness's numerator searched:
-    the floor, then the Hilbert-type witness and conj(W), each replaced
+    the floor, then conj(W) and the Hilbert-type witness, each replaced
     only by a strictly larger ratio of an `opnorms` numerator over
     `opnorm_upper` of the witness."""
     maxmod = float(np.abs(M).max())
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     best_value, best_witness = maxmod, np.zeros(M.shape, dtype=complex)
     best_witness[kj] = 1.0
-    cands = [hilbert_type_witness(*M.shape), schur._s1_witness(M, cfg, maxmod)]
+    cands = [schur._s1_witness(M, cfg, maxmod)[0], hilbert_type_witness(*M.shape)]
     for S, num in zip(cands, opnorms([M * S for S in cands], p, q, cfg)):
         den = opnorm_upper(S, p, q)
         r = num.value / den if den > 0.0 else 0.0
@@ -561,16 +609,35 @@ def test_pruned_multiplier_norms_equal_the_unpruned_reference(M):
         assert est.witness.tobytes() == witness.tobytes()
 
 
-def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_floor(monkeypatch):
-    # at n = 8 the Hilbert-type witness is pruned at both pairs (its ratio
-    # of upper bounds is below 1) and conj(W) is searched at both
-    sizes, search = [], schur.opnorms
+def _counting_opnorm(monkeypatch) -> list:
+    """Replace schur.opnorm by a wrapper that logs each searched numerator."""
+    mats, search = [], schur.opnorm
 
-    def counting(mats, *args):
-        sizes.append(len(mats))
-        return search(mats, *args)
+    def counting(S, *args):
+        mats.append(S)
+        return search(S, *args)
 
-    monkeypatch.setattr(schur, "opnorms", counting)
-    M = standard_truncation_mask(8, 8, 8)
-    multiplier_norms(M, [(2.0, 4.0), (3.0, 1.5)], SearchConfig(multistarts=2))
-    assert sizes == [1, 1]
+    monkeypatch.setattr(schur, "opnorm", counting)
+    return mats
+
+
+def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_best_ratio(monkeypatch):
+    pairs = [(2.0, 4.0), (3.0, 1.5)]
+    cfg = SearchConfig(multistarts=2)
+    # at n = 8 the Hilbert-type witness's ratio of upper bounds is below
+    # the floor 1 at both pairs; conj(W) is searched at both
+    mats = _counting_opnorm(monkeypatch)
+    multiplier_norms(standard_truncation_mask(8, 8, 8), pairs, cfg)
+    assert len(mats) == 2
+    # at n = 32 and (3,1.5) it passes the floor (1.148) but not conj(W)'s
+    # certified ratio (1.870), so again only conj(W) is searched
+    mats.clear()
+    M = standard_truncation_mask(32, 32, 32)
+    ests = multiplier_norms(M, pairs, cfg)
+    H = hilbert_type_witness(32, 32)
+    hilbert = opnorm_upper(M * H, 3.0, 1.5) / opnorm_upper(H, 3.0, 1.5)
+    assert 1.0 < hilbert < ests[1].value
+    assert hilbert == pytest.approx(1.148, abs=1e-3) and ests[1].value == pytest.approx(1.870, abs=1e-3)
+    assert len(mats) == 2
+    W = schur._s1_witness(M, cfg, 1.0)[0]
+    assert all(e.witness.tobytes() == W.tobytes() for e in ests)
