@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
+import threading
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -38,6 +41,10 @@ class ViolationError(RuntimeError):
     def __init__(self, message: str, dump: dict):
         super().__init__(message)
         self.dump = dump
+
+    def __reduce__(self):
+        # the default rebuilds from self.args alone, which lacks `dump`
+        return type(self), (self.args[0], self.dump)
 
 
 @dataclass
@@ -462,10 +469,86 @@ RUNNERS = {
 }
 
 
+def _worker_count(tasks: int) -> int:
+    """Processes that `run_all` runs its `tasks` runners in: one per CPU in
+    this process's affinity mask, at most one per runner. One where fork
+    is not safe: off Linux, and while other Python threads run, since a
+    lock that one of them holds would stay held in a forked child."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+def _take_runners(names: list, cfg: ExperimentConfig, tasks: int) -> list:
+    """Run RUNNERS[names[i]] for each index i read from the pipe `tasks`, one
+    byte each, until the pipe is empty; returns [(i, rows or the exception
+    the runner raised)]. After a failure this process drains the pipe, so
+    no process starts another runner."""
+    done = []
+    while task := os.read(tasks, 1):
+        i = task[0]
+        try:
+            done.append((i, RUNNERS[names[i]](cfg)))
+        except Exception as exc:
+            done.append((i, exc))
+            while os.read(tasks, 256):
+                pass
+            break
+    return done
+
+
+def _runner_child(names: list, cfg: ExperimentConfig, tasks: int, conn):
+    conn.send(_take_runners(names, cfg, tasks))
+    conn.close()
+
+
 def run_all(cfg: ExperimentConfig) -> list:
+    """The rows of every runner, joined in sorted name order.
+
+    The runners share no state (every trial seeds its own generator), so
+    they run in `_worker_count` processes: this one and one forked child per
+    further CPU, each taking the next runner in sorted order from a pipe
+    when it is free. The rows are those of running the runners one after
+    another. Runners start in sorted order, so when some fail, every runner
+    before the first of them has run to its end; that first failure is
+    raised, as the loop would raise it. No child outlives the call."""
+    names = sorted(RUNNERS)
+    tasks, fill = os.pipe()
+    os.write(fill, bytes(range(len(names))))
+    os.close(fill)
+    children = []
+    try:
+        extra = _worker_count(len(names)) - 1
+        if extra:
+            import multiprocessing  # not at module level: about 20 ms and 0.4 MB that a serial run does not need
+
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(extra):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_runner_child, args=(names, cfg, tasks, send))
+                child.start()
+                send.close()  # so that recv sees EOF once the child exits
+                children.append((child, recv))
+        done = _take_runners(names, cfg, tasks)
+        for child, recv in children:
+            try:
+                done += recv.recv()
+            except EOFError:
+                raise RuntimeError(f"run_all worker {child.pid} exited without its rows") from None
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        os.close(tasks)
+        for child, recv in children:
+            child.join()
+            recv.close()
     rows = []
-    for name in sorted(RUNNERS):
-        rows.extend(RUNNERS[name](cfg))
+    for _, out in sorted(done, key=lambda item: item[0]):
+        if isinstance(out, Exception):
+            raise out
+        rows.extend(out)
     return rows
 
 

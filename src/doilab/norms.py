@@ -461,7 +461,10 @@ def opnorm_upper(S, p, q) -> float:
     - the (p,inf) anchor m^(1/q) ||S||_{p->inf};
     - the (inf,1) corner sum |s_kj|, through ||I||_{p->inf} = ||I||_{1->q} = 1;
     - at p = 2 < q, Riesz-Thorin on the segment from (2,2) to (2,inf),
-      sigma_max^(2/q) ||S||_{2->inf}^(1-2/q), valid for complex scalars.
+      sigma_max^(2/q) ||S||_{2->inf}^(1-2/q), valid for complex scalars;
+    - at p < q, Riesz-Thorin on the segment from the (1,1) corner to the
+      (pt,inf) edge through (p,q), ||S||_{1->1}^(1/q) ||S||_{pt->inf}^(1-1/q)
+      with 1/pt = (1/p - 1/q) / (1 - 1/q), both ends exact branches.
     """
     p = check_exponent(p)
     q = check_exponent(q)
@@ -487,4 +490,7 @@ def opnorm_upper(S, p, q) -> float:
     ]
     if p == 2.0 and q > 2.0:
         bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+    if p < q:
+        pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
+        bounds.append(_exact_p1(S, 1.0).value ** (1.0 / q) * _exact_qinf(S, pt).value ** (1.0 - 1.0 / q))
     return min(bounds)

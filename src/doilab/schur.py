@@ -212,7 +212,15 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
         if nu == 0.0:
             break
         u, v = np.abs(u) / nu, np.abs(v) / nv
-    return np.conj(W), upper * maxmod
+    # Outward rounding, so that rounding to nearest cannot leave the bound
+    # below the norm. To first order the computed bound is off by r eps from
+    # the two length-r = min(m, n) sums under the square roots (halved by
+    # them), 3 eps from the single roundings after them, and p(m, n) eps
+    # from the SVD, whose factors are exact for a matrix that close to X
+    # and orthonormal to that accuracy, with p(m, n) a modest function of
+    # m and n (LAPACK Users' Guide, 4.9), taken as max(m, n). That sum is
+    # at most 5 max(m, n) eps; the factor 8 leaves room above it.
+    return np.conj(W), upper * maxmod * (1.0 + 8 * max(m, n) * np.finfo(float).eps)
 
 
 def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:

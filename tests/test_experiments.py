@@ -1,6 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +31,7 @@ from doilab.experiments import (
     run_truncation_growth,
     write_outputs,
     _trial_seed,
+    _worker_count,
 )
 from doilab.norms import INF, opnorm
 from doilab.spectral import DiagonalizableOperator, assemble
@@ -337,3 +346,141 @@ def test_cli_violation_exit_code(tmp_path, monkeypatch):
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["nonsense"])
+
+
+# ------------------------------------------------------- run_all in workers
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run_all forks workers only on Linux")
+
+
+def _cpus(monkeypatch, count: int):
+    """Make this process's affinity mask hold `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@linux_only
+def test_worker_count_is_the_cpus_up_to_one_per_runner(monkeypatch):
+    for cpus, workers in [(1, 1), (2, 2), (3, 3), (64, 5)]:
+        _cpus(monkeypatch, cpus)
+        assert _worker_count(5) == workers
+    # fork is not safe while another thread runs
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _worker_count(5) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@linux_only
+def test_run_all_rows_do_not_depend_on_the_cpus(monkeypatch):
+    serial = rows_to_csv([row for name in sorted(experiments.RUNNERS) for row in experiments.RUNNERS[name](SMALL)])
+    assert rows_to_csv(run_all(SMALL)) == serial
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        assert rows_to_csv(run_all(SMALL)) == serial
+
+
+def test_violation_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(ViolationError("boom", {"n": 1})))
+    assert type(exc) is ViolationError
+    assert (str(exc), exc.dump) == ("boom", {"n": 1})
+
+
+def _each_runner_raising(monkeypatch):
+    def raising(name):
+        def run(cfg):
+            if name == "commutator-ratios":
+                time.sleep(0.3)  # other workers take and fail later runners meanwhile
+            raise ViolationError(f"{name} violated", {"runner": name})
+
+        return run
+
+    for name in list(experiments.RUNNERS):
+        monkeypatch.setitem(experiments.RUNNERS, name, raising(name))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_run_all_raises_the_first_failure_in_sorted_order(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    _each_runner_raising(monkeypatch)
+    with pytest.raises(ViolationError, match="commutator-ratios violated") as info:
+        run_all(SMALL)
+    assert info.value.dump == {"runner": "commutator-ratios"}
+    assert multiprocessing.active_children() == []
+
+
+def _in_child() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+@linux_only
+def test_run_all_leaves_no_child_process(monkeypatch):
+    _cpus(monkeypatch, 2)
+    run_all(SMALL)
+    assert multiprocessing.active_children() == []
+
+    def failing(cfg):
+        raise ValueError("runner failed")
+
+    monkeypatch.setitem(experiments.RUNNERS, "p2q2-mixed", failing)
+    with pytest.raises(ValueError, match="runner failed"):
+        run_all(SMALL)
+    assert multiprocessing.active_children() == []
+
+    # a child that dies without its rows is an error, not a hang
+    def dying(cfg):
+        if _in_child():
+            os._exit(1)
+        time.sleep(0.2)  # the child takes a runner meanwhile
+        return []
+
+    for name in list(experiments.RUNNERS):
+        monkeypatch.setitem(experiments.RUNNERS, name, dying)
+    with pytest.raises(RuntimeError, match="exited without its rows"):
+        run_all(SMALL)
+    assert multiprocessing.active_children() == []
+
+
+# every runner raises a violation in a child and returns no rows in the
+# parent, after a pause in which the child takes a runner
+VIOLATING_RUN = """
+import multiprocessing, os, sys, time
+from doilab import cli, experiments
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def runner(name):
+    def run(cfg):
+        if multiprocessing.parent_process() is None:
+            time.sleep(0.2)
+            return []
+        raise experiments.ViolationError(f"{name} violated", {"runner": name})
+    return run
+
+for name in experiments.RUNNERS:
+    experiments.RUNNERS[name] = runner(name)
+sys.exit(cli.main(["all", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@linux_only
+def test_cli_all_violation_in_a_worker_exits_2_with_its_dump(tmp_path):
+    src = Path(experiments.__file__).resolve().parents[1]
+    out = tmp_path / "out.csv"
+    # a hang fails the test at the timeout instead of blocking the suite
+    done = subprocess.run(
+        [sys.executable, "-c", VIOLATING_RUN, write_config(tmp_path), str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2, done.stderr
+    first, dump = done.stderr.split("\n", 1)
+    name = first.removeprefix("violation: ").removesuffix(" violated")
+    assert name in experiments.RUNNERS
+    assert json.loads(dump) == {"runner": name}
+    assert not out.exists()
+

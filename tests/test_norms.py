@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doilab import norms
+from doilab import norms, schur
 from doilab.norms import (
     EXACT,
     INF,
@@ -640,6 +640,52 @@ def test_opnorm_upper_closed_forms_off_the_diagonal():
     unit[1, 2] = 1.0
     assert [opnorm_upper(unit, p, q) for p, q in MIXED_PAIRS] == [1.0] * len(MIXED_PAIRS)
     assert opnorm_upper(np.zeros((2, 3)), 3.0, 1.5) == 0.0
+
+
+def _opnorm_upper_without_the_corner_segment(S, p, q) -> float:
+    """`opnorm_upper` at 1 < p < q < inf from its other anchors alone,
+    written out from sigma_max and the exact branches of `opnorm`."""
+    S = np.asarray(S, dtype=complex)
+    m, n = S.shape
+
+    def emb(k, r, s):
+        return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
+
+    sigma = float(np.linalg.svd(S, compute_uv=False)[0])
+    to_inf = opnorm(S, p, INF).value
+    bounds = [
+        emb(n, p, 2.0) * sigma * emb(m, 2.0, q),
+        emb(n, p, 1.0) * opnorm(S, 1.0, q).value,
+        to_inf * emb(m, INF, q),
+        float(np.abs(S).sum()),
+    ]
+    if p == 2.0:
+        bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+    return min(bounds)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 3.0), (2.0, 3.0), (2.0, 4.0)])
+def test_opnorm_upper_corner_segment_lies_between_a_search_and_the_other_anchors(p, q):
+    # the segment from the (1,1) corner to the (pt,inf) edge can only lower
+    # the bound, and never below a lower bound
+    cfg = SearchConfig(multistarts=16, max_iter=500, seed=6)
+    for S in _upper_test_matrices(15):
+        upper = opnorm_upper(S, p, q)
+        assert opnorm(S, p, q, cfg).value * (1.0 - 1e-12) <= upper <= _opnorm_upper_without_the_corner_segment(S, p, q)
+
+
+def test_opnorm_upper_corner_segment_is_the_least_bound():
+    assert any(
+        opnorm_upper(S, 1.5, 3.0) < _opnorm_upper_without_the_corner_segment(S, 1.5, 3.0)
+        for S in _upper_test_matrices(15)
+    )
+    # the truncated Hilbert-type matrix at n = 128, whose bound at (2,4)
+    # decides whether multiplier_norms searches that witness
+    n = 128
+    S = schur.standard_truncation_mask(n, n, n) * schur.hilbert_type_witness(n, n)
+    assert opnorm_upper(S, 2.0, 4.0) / _opnorm_upper_without_the_corner_segment(S, 2.0, 4.0) == pytest.approx(
+        0.977, abs=1e-3
+    )
 
 
 # values of the parent implementation, l_p -> l_p on two seeded complex matrices

@@ -476,6 +476,18 @@ def test_multiplier_norm_upper_closed_forms():
         assert multiplier_norm(np.diag(d), 2, 2).upper == pytest.approx(max(d), rel=1e-12)
 
 
+def test_multiplier_norm_upper_is_rounded_outward():
+    # the value is the exact norm max(d) (the max-modulus floor); rounded
+    # to nearest, the Haagerup bound came out one ulp below it
+    for d in ([3.0, 1.0, 0.0, 2.5], [2.0, 2.0, 1.0]):
+        est = multiplier_norm(np.diag(d), 2, 2)
+        assert est.value == max(d)
+        assert est.upper >= est.value
+    for M in _upper_masks():
+        est = multiplier_norm(M, 2, 2)
+        assert est.upper >= est.value
+
+
 def test_multiplier_norm_upper_is_certified_past_zero_rows_and_columns():
     # rows 6 and columns 6..9 of this mask are zero, and so are u and v
     # there after the first power step; iterates still certify, so the
@@ -641,3 +653,17 @@ def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_best_rat
     assert len(mats) == 2
     W = schur._s1_witness(M, cfg, 1.0)[0]
     assert all(e.witness.tobytes() == W.tobytes() for e in ests)
+
+
+def test_multiplier_norms_prunes_the_hilbert_numerator_at_24_and_n128(monkeypatch):
+    # opnorm_upper's (1,1)-(pt,inf) segment puts the Hilbert-type witness's
+    # ratio of upper bounds (1.0117) below conj(W)'s certified ratio
+    # (1.0247), so only conj(W)'s numerator is searched
+    n = 128
+    mats = _counting_opnorm(monkeypatch)
+    M = standard_truncation_mask(n, n, n)
+    [est] = multiplier_norms(M, [(2.0, 4.0)], SearchConfig(multistarts=2))
+    H = hilbert_type_witness(n, n)
+    hilbert = opnorm_upper(M * H, 2.0, 4.0) / opnorm_upper(H, 2.0, 4.0)
+    assert hilbert == pytest.approx(1.0117, abs=1e-4) and est.value == pytest.approx(1.0247, abs=1e-4)
+    assert len(mats) == 1
