@@ -32,24 +32,19 @@ from .schur import (
     multiplier_norms,
     repeat_first_column,
     schur_product,
-    sequence_truncation,
-    standard_truncation,
     standard_truncation_mask,
 )
 from .doi import (
     CommutatorReport,
     abs_kernel_constant,
     commutator_transform,
-    doi_apply,
     sobolev_weight_norm,
-    truncation_bound_check,
 )
 from .psumming import (
     PSummingContext,
     lipschitz_commutator_check,
     pi_p_norm,
     psumming_definition_ratio,
-    psumming_multiplier_norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

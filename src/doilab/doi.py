@@ -1,8 +1,9 @@
 """Discrete double operator integrals.
 
 In the eigenbases of A and B the double operator integral is exactly a
-Schur multiplier: T_phi(S) = Phi * S with Phi[k, j] = phi(lambda_j, mu_k).
-The commutator transform checks the algebraic identity
+Schur multiplier, T_phi(S) = Phi * S with Phi[k, j] = phi(lambda_j, mu_k),
+which `schur_product` computes. The commutator transform checks the
+algebraic identity
 
     f(B)S - Sf(A) = V^{-1} ( Phi_f * (V(BS - SA)U^{-1}) ) U
 
@@ -18,20 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import EXACT, SearchConfig, check_exponent, opnorm, opnorm_upper
-from .schur import (
-    abs_divided_difference,
-    divided_difference_matrix,
-    schur_product,
-    sequence_truncation,
-)
+from .schur import divided_difference_matrix, schur_product
 from .spectral import DiagonalizableOperator, assemble, functional_calculus
 
 RHS_ZERO_CUTOFF = 1e-14
-
-
-def doi_apply(phi, S) -> np.ndarray:
-    """The discrete double operator integral is the Schur product."""
-    return schur_product(phi, S)
 
 
 def sobolev_weight_norm() -> float:
@@ -42,8 +33,9 @@ def sobolev_weight_norm() -> float:
 
 
 def abs_kernel_constant() -> float:
-    """The explicit constant 2 + 32 sqrt(2) ||g||_{W^{1,2}} appearing in
-    the truncation bound for the absolute value kernel."""
+    """The explicit constant C = 2 + 32 sqrt(2) ||g||_{W^{1,2}} of the
+    paper's truncation bound ||T_phi(S)|| <= C (||S|| + ||T_seq(S)||) for
+    the absolute value kernel, T_seq keeping (k, j) with mu_k <= lambda_j."""
     return 2.0 + 32.0 * math.sqrt(2.0) * sobolev_weight_norm()
 
 
@@ -92,7 +84,7 @@ def commutator_transform(
     for f in fs:
         d1 = functional_calculus(b, f) @ S - S @ functional_calculus(a, f)
         phi = divided_difference_matrix(f, a.lambdas, b.lambdas, 1.0)
-        d2 = b.u_inv @ doi_apply(phi, mid) @ a.u
+        d2 = b.u_inv @ schur_product(phi, mid) @ a.u
         lhs = opnorm(d1, p, q, cfg)
         reports.append(
             CommutatorReport(
@@ -105,28 +97,3 @@ def commutator_transform(
             )
         )
     return reports
-
-
-def truncation_bound_check(
-    S, lambdas, mus, p, q, n: int, cfg: SearchConfig | None = None, tolerance: float = 1e-9
-) -> dict:
-    """Check ||T_phi(S)|| <= C (||S|| + ||T_seq(S)||) for the absolute
-    value kernel, with the explicit constant from the weight g."""
-    cfg = cfg or SearchConfig()
-    S = np.asarray(S, dtype=complex)
-    lambdas = np.asarray(lambdas, dtype=float).ravel()
-    mus = np.asarray(mus, dtype=float).ravel()
-    phi = np.zeros(S.shape, dtype=complex)
-    phi[:n, :n] = abs_divided_difference(lambdas[:n], mus[:n])
-    lhs = opnorm(doi_apply(phi, S), p, q, cfg).value
-    s_norm = opnorm(S, p, q, cfg).value
-    trunc_norm = opnorm(sequence_truncation(S, lambdas, mus, n), p, q, cfg).value
-    constant = abs_kernel_constant()
-    bound = constant * (s_norm + trunc_norm)
-    return {
-        "lhs": lhs,
-        "s_norm": s_norm,
-        "trunc_norm": trunc_norm,
-        "constant": constant,
-        "satisfied": lhs <= bound + tolerance,
-    }

@@ -406,7 +406,7 @@ def run_psumming_check(cfg: ExperimentConfig) -> list:
                 rows.append(t.row("rejection_exhausted", 1.0, "flagged"))
                 continue
             a, b, S = instance
-            results = lipschitz_commutator_check(a, b, S, (abs, lambda x: x), 1.0, ctx)
+            results = lipschitz_commutator_check(a, b, S, (abs, lambda x: x), ctx)
             for tag, res in zip(("abs", "identity"), results):
                 if not res["satisfied"]:
                     raise ViolationError(

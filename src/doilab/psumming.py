@@ -1,7 +1,7 @@
 """The p-summing norm of l_{p*} -> l_p operators, which coincides with
-the entrywise l_p norm of the matrix, its multiplier theory (multiplier
-norm = max modulus), and the exactly verifiable Lipschitz commutator
-bound pi_p(f(B)S - Sf(A)) <= K_A K_B Lip(f) pi_p(BS - SA).
+the entrywise l_p norm of the matrix, and the exactly verifiable
+Lipschitz commutator bound pi_p(f(B)S - Sf(A)) <= K_A K_B pi_p(BS - SA)
+for 1-Lipschitz f.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ def psumming_definition_ratio(S, ctx: PSummingContext, collection, cfg: SearchCo
     }
 
 
-def psumming_multiplier_norm(M) -> float:
-    """Norm of S -> M * S on the p-summing ideal: the max modulus."""
-    M = np.asarray(M)
-    if M.size == 0:
-        raise ValueError("empty mask")
-    return float(np.abs(M).max())
-
-
 def sampled_lipschitz_floor(f, a: DiagonalizableOperator, b: DiagonalizableOperator) -> float:
     """Max modulus of divided differences over all pairs of eigenvalues
     of A and B; a floor for any admissible Lipschitz bound."""
@@ -72,25 +64,23 @@ def lipschitz_commutator_check(
     b: DiagonalizableOperator,
     S,
     fs,
-    lip: float,
     ctx: PSummingContext,
 ) -> list[dict]:
-    """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B lip pi_p(BS - SA) for each f
-    in fs, with K upper bounds; both pi_p values are exact entrywise
-    norms. A acts on l_{p*}, B on l_p. K_A, K_B and pi_p(BS - SA) do not
-    depend on f and are computed once; returns one result per f. Its
-    `bound_certainty` is `exact` when both K are, else `upper_bound`."""
+    """Verify pi_p(f(B)S - Sf(A)) <= K_A K_B pi_p(BS - SA) for each f in
+    fs, which must be 1-Lipschitz on the spectra (else ValueError), with K
+    upper bounds; both pi_p values are exact entrywise norms. A acts on
+    l_{p*}, B on l_p. K_A, K_B and pi_p(BS - SA) do not depend on f and are
+    computed once; returns one result per f. Its `bound_certainty` is
+    `exact` when both K are, else `upper_bound`."""
     for f in fs:
         floor = sampled_lipschitz_floor(f, a, b)
-        if lip < floor - 1e-12:
-            raise ValueError(
-                f"supplied Lipschitz bound {lip} is below the sampled divided-difference max {floor}"
-            )
+        if floor > 1.0 + 1e-12:
+            raise ValueError(f"f is not 1-Lipschitz: sampled divided-difference max {floor}")
     S = np.asarray(S, dtype=complex)
     rhs = pi_p_norm(assemble(b) @ S - S @ assemble(a), ctx)
     k_a = diagonalizability_constant(a, ctx.pstar)
     k_b = diagonalizability_constant(b, ctx.p)
-    bound = k_a.value * k_b.value * lip * rhs
+    bound = k_a.value * k_b.value * rhs
     bound_certainty = EXACT if k_a.certainty == k_b.certainty == EXACT else UPPER_BOUND
     results = []
     for f in fs:

@@ -1,7 +1,7 @@
 """Schur (entrywise) products, divided-difference multiplier matrices,
-triangular truncations (standard and sequence-associated), mask
-canonicalization to the standard staircase pattern, and multiplier-norm
-estimation on l_p -> l_q.
+the standard triangular truncation mask, canonicalization of
+{mu_k <= lambda_j} masks to the standard staircase pattern, and
+multiplier-norm estimation on l_p -> l_q.
 
 Index convention: multiplier entry (k, j) couples output coordinate k
 (the mu side) with input coordinate j (the lambda side).
@@ -59,38 +59,12 @@ def abs_divided_difference(lambdas, mus) -> np.ndarray:
 
 
 def standard_truncation_mask(n_rows: int, n_cols: int, n: int) -> np.ndarray:
+    """1 at (k, j) with k <= j inside the leading n x n block, else 0."""
     m = np.zeros((n_rows, n_cols))
     k = np.arange(1, n_rows + 1)
     j = np.arange(1, n_cols + 1)
     m[: n, : n] = ((k[:n, None] <= j[None, :n])).astype(float)
     return m
-
-
-def standard_truncation(S, n: int) -> np.ndarray:
-    """Keep entries (k, j) with k <= j inside the leading n x n block."""
-    S = np.asarray(S)
-    if not 0 <= n <= min(S.shape):
-        raise ValueError(f"n={n} out of range for shape {S.shape}")
-    return schur_product(standard_truncation_mask(*S.shape, n), S)
-
-
-def sequence_mask(lambdas, mus, n: int, shape=None) -> np.ndarray:
-    lambdas = np.asarray(lambdas, dtype=float).ravel()
-    mus = np.asarray(mus, dtype=float).ravel()
-    if lambdas.size < n or mus.size < n:
-        raise ValueError("sequences shorter than n")
-    shape = shape or (n, n)
-    m = np.zeros(shape)
-    m[:n, :n] = (mus[:n, None] <= lambdas[None, :n]).astype(float)
-    return m
-
-
-def sequence_truncation(S, lambdas, mus, n: int) -> np.ndarray:
-    """Keep entries (k, j) with k, j <= n and mu_k <= lambda_j."""
-    S = np.asarray(S)
-    if n > min(S.shape):
-        raise ValueError(f"n={n} exceeds matrix shape {S.shape}")
-    return schur_product(sequence_mask(lambdas, mus, n, S.shape), S)
 
 
 @dataclass

@@ -7,6 +7,7 @@ constant (inf of ||U|| ||U^{-1}|| over diagonal rescalings of U).
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -188,7 +189,7 @@ def _endpoint_scaling(op: DiagonalizableOperator, p: float) -> np.ndarray:
 
 
 def _scaling_argument(logd: np.ndarray) -> str:
-    return f"diagonal scaling exp({np.round(logd, 6).tolist()})"
+    return f"diagonal scaling exp({json.dumps(logd.tolist())})"
 
 
 def _smooth_max(z: np.ndarray) -> tuple:

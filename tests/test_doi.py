@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doilab.doi import (
-    abs_kernel_constant,
-    commutator_transform,
-    doi_apply,
-    sobolev_weight_norm,
-    truncation_bound_check,
-)
+from doilab.doi import abs_kernel_constant, commutator_transform, sobolev_weight_norm
 from doilab.norms import SearchConfig, opnorm_upper
-from doilab.schur import (
-    abs_divided_difference,
-    divided_difference_matrix,
-    schur_product,
-    standard_truncation,
-    standard_truncation_mask,
-)
+from doilab.schur import abs_divided_difference, schur_product, standard_truncation_mask
 from doilab.spectral import DiagonalizableOperator, assemble
 
 
@@ -35,26 +23,25 @@ def random_pair(seed, n=4, delta=0.2):
 
 
 # ------------------------------------------------------------------- apply
+# the discrete double operator integral is applied as `schur_product`
 
 
 def test_doi_apply_examples():
     rng = np.random.default_rng(0)
     S = rng.standard_normal((3, 3))
-    assert np.array_equal(doi_apply(np.ones((3, 3)), S), S)
-    assert np.array_equal(
-        doi_apply(standard_truncation_mask(3, 3, 3), S), standard_truncation(S, 3)
-    )
+    assert np.array_equal(schur_product(np.ones((3, 3)), S), S)
+    assert np.array_equal(schur_product(standard_truncation_mask(3, 3, 3), S), np.triu(S))
 
 
 def test_doi_apply_abs_kernel_kills_antidiagonal():
     phi = abs_divided_difference([1.0, -1.0], [1.0, -1.0])
     S = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(doi_apply(phi, S), np.zeros((2, 2)))
+    assert np.allclose(schur_product(phi, S), np.zeros((2, 2)))
 
 
 def test_doi_apply_shape_mismatch():
     with pytest.raises(ValueError):
-        doi_apply(np.ones((2, 2)), np.ones((2, 3)))
+        schur_product(np.ones((2, 2)), np.ones((2, 3)))
 
 
 @settings(deadline=None, max_examples=25)
@@ -62,8 +49,8 @@ def test_doi_apply_shape_mismatch():
 def test_doi_apply_morphism(seed):
     rng = np.random.default_rng(seed)
     phi1, phi2, S = (rng.standard_normal((3, 3)) for _ in range(3))
-    lhs = doi_apply(phi1, doi_apply(phi2, S))
-    rhs = doi_apply(schur_product(phi1, phi2), S)
+    lhs = schur_product(phi1, schur_product(phi2, S))
+    rhs = schur_product(schur_product(phi1, phi2), S)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
@@ -77,8 +64,8 @@ def test_doi_apply_consistency_with_diagonal_calculus():
     f = np.cos
     col_mask = np.tile(f(lam)[None, :], (3, 1))
     row_mask = np.tile(f(mu)[:, None], (1, 3))
-    assert np.allclose(doi_apply(col_mask, S), S @ np.diag(f(lam)), atol=1e-10)
-    assert np.allclose(doi_apply(row_mask, S), np.diag(f(mu)) @ S, atol=1e-10)
+    assert np.allclose(schur_product(col_mask, S), S @ np.diag(f(lam)), atol=1e-10)
+    assert np.allclose(schur_product(row_mask, S), np.diag(f(mu)) @ S, atol=1e-10)
 
 
 # -------------------------------------------------------------- commutators
@@ -191,31 +178,3 @@ def test_abs_kernel_constant_value():
     expected = 2 + 32 * math.sqrt(2) * (math.sqrt(8 * math.log(2) - 4) + math.sqrt(2.0 / 3.0))
     assert abs_kernel_constant() == pytest.approx(expected, abs=1e-9)
     assert abs_kernel_constant() == pytest.approx(95.20451402378411, abs=1e-9)
-
-
-# --------------------------------------------------------- truncation bound
-
-
-def test_truncation_bound_zero_matrix():
-    res = truncation_bound_check(np.zeros((3, 3)), [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 2, 2, 3)
-    assert res["lhs"] == 0.0
-    assert res["satisfied"]
-
-
-def test_truncation_bound_constant_sequences():
-    rng = np.random.default_rng(6)
-    S = rng.standard_normal((3, 3))
-    res = truncation_bound_check(S, [2.0] * 3, [2.0] * 3, 2, 2, 3)
-    assert res["lhs"] == pytest.approx(res["s_norm"], rel=1e-12)
-    assert res["satisfied"]
-
-
-def test_truncation_bound_random_instances():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        S = rng.standard_normal((8, 8))
-        lam = rng.uniform(-2, 2, 8)
-        mu = rng.uniform(-2, 2, 8)
-        res = truncation_bound_check(S, lam, mu, 2, 2, 8)
-        assert res["satisfied"]
-        assert res["constant"] == pytest.approx(95.20451402378411, abs=1e-9)

@@ -21,8 +21,6 @@ from doilab.schur import (
     multiplier_norms,
     repeat_first_column,
     schur_product,
-    sequence_truncation,
-    standard_truncation,
     standard_truncation_mask,
 )
 
@@ -85,40 +83,23 @@ def test_divided_difference_index_convention():
 # ---------------------------------------------------------------- truncation
 
 
+def truncate(S, n):
+    return standard_truncation_mask(*S.shape, n) * S
+
+
 def test_standard_truncation_examples():
     S = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(standard_truncation(S, 2), [[1.0, 2.0], [0.0, 4.0]])
-    assert np.array_equal(standard_truncation(S, 1), [[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(truncate(S, 2), [[1.0, 2.0], [0.0, 4.0]])
+    assert np.array_equal(truncate(S, 1), [[1.0, 0.0], [0.0, 0.0]])
     upper = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
-    assert np.array_equal(standard_truncation(upper, 3), upper)
-
-
-def test_standard_truncation_out_of_range():
-    with pytest.raises(ValueError):
-        standard_truncation(np.ones((2, 2)), 3)
+    assert np.array_equal(truncate(upper, 3), upper)
 
 
 def test_standard_truncation_idempotent():
     rng = np.random.default_rng(0)
     S = rng.standard_normal((5, 5))
-    T = standard_truncation(S, 4)
-    assert np.array_equal(standard_truncation(T, 4), T)
-
-
-def test_sequence_truncation_reduces_to_standard():
-    # mu_k <= lambda_j becomes k <= j exactly when the equal sequences
-    # are increasing
-    rng = np.random.default_rng(1)
-    S = rng.standard_normal((4, 4))
-    seq = [1.0, 2.0, 3.0, 4.0]
-    assert np.array_equal(sequence_truncation(S, seq, seq, 4), standard_truncation(S, 4))
-
-
-def test_sequence_truncation_extremes():
-    rng = np.random.default_rng(2)
-    S = rng.standard_normal((3, 3))
-    assert np.array_equal(sequence_truncation(S, [1.0] * 3, [5.0] * 3, 3), np.zeros((3, 3)))
-    assert np.array_equal(sequence_truncation(S, [5.0] * 3, [1.0] * 3, 3), S)
+    T = truncate(S, 4)
+    assert np.array_equal(truncate(T, 4), T)
 
 
 # ----------------------------------------------------------- canonicalization

@@ -267,7 +267,7 @@ def test_k_endpoint_closed_form_is_optimal(seed, p):
     assert est.certainty == EXACT
     assert est.value == pytest.approx(max(closed, 1.0), rel=1e-12)
     d = _endpoint_scaling(op, p)
-    assert str(np.round(np.log(d), 6).tolist()) in est.argument
+    assert est.argument == f"diagonal scaling exp({json.dumps(np.log(d).tolist())})"
     assert scaled_product(op, d, p) == pytest.approx(est.value, rel=1e-12)
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -340,8 +340,8 @@ def test_k_interior_argument_rescores_to_value(seed, p):
     op = random_operator(seed, n=7, delta=0.5)
     est = diagonalizability_constant(op, p)
     logd = np.array(json.loads(est.argument.removeprefix("diagonal scaling exp(").removesuffix(")")))
-    # the argument rounds log d to 6 decimals
-    assert _diag_scaling_objective(op, logd, p) == pytest.approx(est.value, rel=1e-5)
+    # the argument holds log d at full precision, so it rescores to K exactly
+    assert max(_diag_scaling_objective(op, logd, p), 1.0) == est.value
     for start in (np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))):
         assert est.value <= _diag_scaling_objective(op, start, p)
 
