@@ -235,28 +235,31 @@ def _fit_log(ns, values):
 # ---------------------------------------------------------------- truncation
 
 
-def run_truncation_growth(cfg: ExperimentConfig) -> list:
-    """Per n, one `multiplier_norms` call on the n x n staircase holds every
-    pair, each with its own seeded search, so the witness set is built once
-    per n. A lower-bound estimate that carries an upper bound (at (2,2),
-    the Haagerup bound of the S_1 alternation) also gets a
-    `multiplier_norm_upper` row. Each pair's norms are fitted against ln n
-    when dims has at least two entries."""
+def _truncation_rows(cfg: ExperimentConfig, n: int) -> tuple:
+    """The rows of one n, and each pair's norm in `cfg.pq_pairs` order: one
+    `multiplier_norms` call on the n x n staircase holds every pair, each
+    with its own seeded search, so the witness set is built once per n."""
     label = "truncation_growth"
+    trials = [_trial(cfg, label, p, q, n, 0) for p, q in cfg.pq_pairs]
+    ests = multiplier_norms(standard_truncation_mask(n, n, n), cfg.pq_pairs, [t.search for t in trials])
     rows = []
-    values = [[] for _ in cfg.pq_pairs]
-    for n in cfg.dims:
-        trials = [_trial(cfg, label, p, q, n, 0) for p, q in cfg.pq_pairs]
-        mask = standard_truncation_mask(n, n, n)
-        ests = multiplier_norms(mask, cfg.pq_pairs, [t.search for t in trials])
-        for t, est, vals in zip(trials, ests, values):
-            vals.append(est.value)
-            rows.append(t.row("multiplier_norm", est.value, est.certainty))
-            if est.certainty == LOWER_BOUND and est.upper is not None:
-                rows.append(t.row("multiplier_norm_upper", est.upper, UPPER_BOUND))
+    for t, est in zip(trials, ests):
+        rows.append(t.row("multiplier_norm", est.value, est.certainty))
+        if est.certainty == LOWER_BOUND and est.upper is not None:
+            rows.append(t.row("multiplier_norm_upper", est.upper, UPPER_BOUND))
+    return rows, [est.value for est in ests]
+
+
+def run_truncation_growth(cfg: ExperimentConfig) -> list:
+    """The rows of each n, fanned out over the CPUs. A lower-bound estimate
+    that carries an upper bound (at (2,2), the Haagerup bound of the S_1
+    alternation) also gets a `multiplier_norm_upper` row. Each pair's norms
+    are fitted against ln n when dims has at least two entries."""
+    per_n = _fan_out(lambda n: _truncation_rows(cfg, n), cfg.dims)
+    rows = [r for n_rows, _ in per_n for r in n_rows]
     if len(cfg.dims) >= 2:
-        for (p, q), vals in zip(cfg.pq_pairs, values):
-            fit = _trial(cfg, label, p, q, 0, 0)
+        for (p, q), vals in zip(cfg.pq_pairs, zip(*(values for _, values in per_n))):
+            fit = _trial(cfg, "truncation_growth", p, q, 0, 0)
             for metric, value in zip(("fit_slope", "fit_intercept", "fit_residual"), _fit_log(cfg.dims, vals)):
                 rows.append(fit.row(metric, value, "derived"))
     return _sort_rows(rows)
@@ -310,44 +313,56 @@ def _adversarial_instance(n: int):
     return a, b, S
 
 
+def _commutator_rows(item) -> list:
+    """The rows of one (trial, adversarial) item: the adversarial
+    instance's ratio, or a sampled instance's normalized and identity
+    ratios."""
+    t, adversarial = item
+    p, q = t.p, t.q
+    if adversarial:
+        [rep] = commutator_transform(*_adversarial_instance(t.n), [abs], p, q, t.search)
+        return [t.row("adversarial_normalized_ratio", rep.ratio, rep.norms_meta["lhs"])]
+    instance = _sampled_instance(t.rng, t.n, p, q)
+    if instance is None:
+        return [t.row("rejection_exhausted", 1.0, "flagged")]
+    a, b, S = instance
+    k_a = diagonalizability_constant(a, p)
+    k_b = diagonalizability_constant(b, q)
+    rep, ctrl = commutator_transform(a, b, S, [abs, lambda x: x], p, q, t.search)
+    # The random witness concentrates below the extremal ratio as
+    # n grows; the single-entry witness S = V^{-1}(C/(mu-lambda))U
+    # with C a unit matrix at argmax|phi| achieves the ratio
+    # max|phi_f| exactly, so the per-trial estimate is the better
+    # of the two.
+    phi = np.abs(abs_divided_difference(a.lambdas, b.lambdas))
+    phi[b.lambdas[:, None] == a.lambdas[None, :]] = 0.0  # no witness there
+    # ratio_lower divides by an upper bound on ||BS - SA|| where that
+    # norm has no exact branch, and dividing by a K that is only an
+    # upper bound also gives a lower bound
+    norm_ratio = max(rep.ratio_lower, float(phi.max())) / (k_a.value * k_b.value)
+    # lhs and rhs of the identity control are one matrix: off the
+    # exact branches its ratio is one estimate divided by itself
+    ctrl_tag = _certainty(*ctrl.norms_meta.values())
+    return [
+        t.row(
+            "normalized_ratio", norm_ratio,
+            _certainty(*rep.norms_meta.values(), k_a.certainty, k_b.certainty),
+        ),
+        t.row("identity_ratio", ctrl.ratio, ctrl_tag if ctrl_tag == EXACT else "derived"),
+    ]
+
+
 def run_commutator_ratios(cfg: ExperimentConfig) -> list:
+    """The rows of every trial, fanned out over the CPUs: at (2,2) one
+    adversarial trial per n, and a sampled instance per trial at every
+    pair."""
     label = "commutator_ratios"
-    rows = []
+    items = []
     for p, q in cfg.pq_pairs:
         if p == 2.0 and q == 2.0:
-            for n in cfg.dims:
-                t = _trial(cfg, label, p, q, n, 0)
-                [rep] = commutator_transform(*_adversarial_instance(n), [abs], p, q, t.search)
-                rows.append(t.row("adversarial_normalized_ratio", rep.ratio, rep.norms_meta["lhs"]))
-        for t in _trials(cfg, label, p, q):
-            instance = _sampled_instance(t.rng, t.n, p, q)
-            if instance is None:
-                rows.append(t.row("rejection_exhausted", 1.0, "flagged"))
-                continue
-            a, b, S = instance
-            k_a = diagonalizability_constant(a, p)
-            k_b = diagonalizability_constant(b, q)
-            rep, ctrl = commutator_transform(a, b, S, [abs, lambda x: x], p, q, t.search)
-            # The random witness concentrates below the extremal ratio as
-            # n grows; the single-entry witness S = V^{-1}(C/(mu-lambda))U
-            # with C a unit matrix at argmax|phi| achieves the ratio
-            # max|phi_f| exactly, so the per-trial estimate is the better
-            # of the two.
-            phi = np.abs(abs_divided_difference(a.lambdas, b.lambdas))
-            phi[b.lambdas[:, None] == a.lambdas[None, :]] = 0.0  # no witness there
-            # ratio_lower divides by an upper bound on ||BS - SA|| where that
-            # norm has no exact branch, and dividing by a K that is only an
-            # upper bound also gives a lower bound
-            norm_ratio = max(rep.ratio_lower, float(phi.max())) / (k_a.value * k_b.value)
-            rows.append(t.row(
-                "normalized_ratio", norm_ratio,
-                _certainty(*rep.norms_meta.values(), k_a.certainty, k_b.certainty),
-            ))
-            # lhs and rhs of the identity control are one matrix: off the
-            # exact branches its ratio is one estimate divided by itself
-            ctrl_tag = _certainty(*ctrl.norms_meta.values())
-            rows.append(t.row("identity_ratio", ctrl.ratio, ctrl_tag if ctrl_tag == EXACT else "derived"))
-    return _sort_rows(rows)
+            items += [(_trial(cfg, label, p, q, n, 0), True) for n in cfg.dims]
+        items += [(t, False) for t in _trials(cfg, label, p, q)]
+    return _sort_rows([r for rows in _fan_out(_commutator_rows, items) for r in rows])
 
 
 # -------------------------------------------------------------- p=q=2 mixed
@@ -393,36 +408,42 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
 # ----------------------------------------------------------------- psumming
 
 
-def run_psumming_check(cfg: ExperimentConfig) -> list:
+def _psumming_rows(t: _Trial) -> list:
+    """The rows of one trial at p = t.p; a violated bound raises
+    `ViolationError` with the instance."""
+    ctx = PSummingContext(t.p)
+    instance = _sampled_instance(t.rng, t.n, ctx.pstar, ctx.p)
+    if instance is None:
+        return [t.row("rejection_exhausted", 1.0, "flagged")]
+    a, b, S = instance
     rows = []
+    results = lipschitz_commutator_check(a, b, S, (abs, lambda x: x), ctx)
+    for tag, res in zip(("abs", "identity"), results):
+        if not res["satisfied"]:
+            raise ViolationError(
+                "p-summing commutator bound violated",
+                {
+                    "p": t.p, "n": t.n, "trial": t.trial, "f": tag,
+                    "lhs": res["lhs"], "bound": res["bound"],
+                    "lambda": a.lambdas.tolist(), "mu": b.lambdas.tolist(),
+                    "seed_used": t.seed_used,
+                },
+            )
+        tight = res["lhs"] / res["bound"] if res["bound"] > 0 else 0.0
+        rows.append(t.row(f"satisfied_{tag}", 1.0, "exact"))
+        # lhs over an upper bound on the bound is a lower bound
+        rows.append(t.row(f"tightness_{tag}", tight, _certainty(res["bound_certainty"])))
+    return rows
+
+
+def run_psumming_check(cfg: ExperimentConfig) -> list:
+    """The rows of every trial at each interior exponent of the pairs,
+    fanned out over the CPUs."""
     ps = sorted({p for p, _ in cfg.pq_pairs if 1.0 < p < INF} | {p for _, p in cfg.pq_pairs if 1.0 < p < INF})
     if not ps:
         ps = [1.5, 2.0, 3.0]
-    for p in ps:
-        ctx = PSummingContext(p)
-        for t in _trials(cfg, "psumming_check", p, p):
-            instance = _sampled_instance(t.rng, t.n, ctx.pstar, ctx.p)
-            if instance is None:
-                rows.append(t.row("rejection_exhausted", 1.0, "flagged"))
-                continue
-            a, b, S = instance
-            results = lipschitz_commutator_check(a, b, S, (abs, lambda x: x), ctx)
-            for tag, res in zip(("abs", "identity"), results):
-                if not res["satisfied"]:
-                    raise ViolationError(
-                        "p-summing commutator bound violated",
-                        {
-                            "p": p, "n": t.n, "trial": t.trial, "f": tag,
-                            "lhs": res["lhs"], "bound": res["bound"],
-                            "lambda": a.lambdas.tolist(), "mu": b.lambdas.tolist(),
-                            "seed_used": t.seed_used,
-                        },
-                    )
-                tight = res["lhs"] / res["bound"] if res["bound"] > 0 else 0.0
-                rows.append(t.row(f"satisfied_{tag}", 1.0, "exact"))
-                # lhs over an upper bound on the bound is a lower bound
-                rows.append(t.row(f"tightness_{tag}", tight, _certainty(res["bound_certainty"])))
-    return _sort_rows(rows)
+    trials = [t for p in ps for t in _trials(cfg, "psumming_check", p, p)]
+    return _sort_rows([r for rows in _fan_out(_psumming_rows, trials) for r in rows])
 
 
 # ------------------------------------------------------------- doi identity
@@ -469,87 +490,101 @@ RUNNERS = {
 }
 
 
+# True in every process of a running fan-out, so that a fan-out started
+# inside it runs serially and the processes stay one per CPU
+_fanned_out = False
+
+
 def _worker_count(tasks: int) -> int:
-    """Processes that `run_all` runs its `tasks` runners in: one per CPU in
-    this process's affinity mask, at most one per runner. One where fork
-    is not safe: off Linux, and while other Python threads run, since a
-    lock that one of them holds would stay held in a forked child."""
-    if sys.platform != "linux" or threading.active_count() > 1:
+    """Processes that `_fan_out` runs its `tasks` tasks in: one per CPU in
+    this process's affinity mask, at most one per task. One inside another
+    fan-out, and where fork is not safe: off Linux, and while other Python
+    threads run, since a lock that one of them holds would stay held in a
+    forked child."""
+    if _fanned_out or sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-def _take_runners(names: list, cfg: ExperimentConfig, tasks: int) -> list:
-    """Run RUNNERS[names[i]] for each index i read from the pipe `tasks`, one
-    byte each, until the pipe is empty; returns [(i, rows or the exception
-    the runner raised)]. After a failure this process drains the pipe, so
-    no process starts another runner."""
+def _take(fn, items: list, next_item) -> list:
+    """Compute fn(items[i]) for each index i taken from the shared counter
+    `next_item` until it passes the last item; returns [(i, result or the
+    exception fn raised)]. After a failure this process moves the counter
+    past the last item, so that no process starts another."""
     done = []
-    while task := os.read(tasks, 1):
-        i = task[0]
+    while True:
+        with next_item.get_lock():
+            i = next_item.value
+            next_item.value = i + 1
+        if i >= len(items):
+            return done
         try:
-            done.append((i, RUNNERS[names[i]](cfg)))
+            done.append((i, fn(items[i])))
         except Exception as exc:
             done.append((i, exc))
-            while os.read(tasks, 256):
-                pass
-            break
-    return done
+            with next_item.get_lock():
+                next_item.value = len(items)
+            return done
 
 
-def _runner_child(names: list, cfg: ExperimentConfig, tasks: int, conn):
-    conn.send(_take_runners(names, cfg, tasks))
+def _fan_out_child(fn, items: list, next_item, conn):
+    conn.send(_take(fn, items, next_item))
     conn.close()
 
 
-def run_all(cfg: ExperimentConfig) -> list:
-    """The rows of every runner, joined in sorted name order.
-
-    The runners share no state (every trial seeds its own generator), so
-    they run in `_worker_count` processes: this one and one forked child per
-    further CPU, each taking the next runner in sorted order from a pipe
-    when it is free. The rows are those of running the runners one after
-    another. Runners start in sorted order, so when some fail, every runner
-    before the first of them has run to its end; that first failure is
+def _fan_out(fn, items) -> list:
+    """[fn(x) for x in items], computed in `_worker_count(len(items))`
+    processes: this one and one forked child per further CPU, each taking
+    the next item in order when it is free. The items must share no state
+    that fn changes (every trial seeds its own generator); then the results
+    are those of the loop. Items start in order, so when some fail, every
+    item before the first of them has run to its end; that first failure is
     raised, as the loop would raise it. No child outlives the call."""
-    names = sorted(RUNNERS)
-    tasks, fill = os.pipe()
-    os.write(fill, bytes(range(len(names))))
-    os.close(fill)
-    children = []
-    try:
-        extra = _worker_count(len(names)) - 1
-        if extra:
-            import multiprocessing  # not at module level: about 20 ms and 0.4 MB that a serial run does not need
+    global _fanned_out
+    items = list(items)
+    workers = _worker_count(len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    import multiprocessing  # not at module level: about 20 ms and 0.4 MB that a serial run does not need
 
-            ctx = multiprocessing.get_context("fork")
-            for _ in range(extra):
-                recv, send = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_runner_child, args=(names, cfg, tasks, send))
-                child.start()
-                send.close()  # so that recv sees EOF once the child exits
-                children.append((child, recv))
-        done = _take_runners(names, cfg, tasks)
+    ctx = multiprocessing.get_context("fork")
+    next_item = ctx.Value("q", 0)
+    children = []
+    _fanned_out = True  # before the forks, so that the children inherit it
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_fan_out_child, args=(fn, items, next_item, send))
+            child.start()
+            send.close()  # so that recv sees EOF once the child exits
+            children.append((child, recv))
+        done = _take(fn, items, next_item)
         for child, recv in children:
             try:
                 done += recv.recv()
             except EOFError:
-                raise RuntimeError(f"run_all worker {child.pid} exited without its rows") from None
+                raise RuntimeError(f"fan-out worker {child.pid} exited without its results") from None
     except BaseException:
         for child, _ in children:
             child.terminate()
         raise
     finally:
-        os.close(tasks)
+        _fanned_out = False
         for child, recv in children:
             child.join()
             recv.close()
-    rows = []
-    for _, out in sorted(done, key=lambda item: item[0]):
+    done.sort(key=lambda item: item[0])
+    for _, out in done:
         if isinstance(out, Exception):
             raise out
-        rows.extend(out)
-    return rows
+    return [out for _, out in done]
+
+
+def run_all(cfg: ExperimentConfig) -> list:
+    """The rows of every runner, joined in sorted name order. The runners
+    share no state, so they are fanned out over the CPUs; the fan-outs
+    inside them then run serially."""
+    return [r for rows in _fan_out(lambda name: RUNNERS[name](cfg), sorted(RUNNERS)) for r in rows]
 
 
 def rows_to_csv(rows: list) -> str:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinity import set_cpus
 from doilab import cli, experiments
 from doilab.experiments import (
     CSV_HEADER,
@@ -144,6 +145,7 @@ def test_commutator_ratios_tags_off_the_exact_branches():
 
 
 def test_commutator_ratios_one_transform_per_trial(monkeypatch):
+    set_cpus(monkeypatch, 1)  # the patch below counts calls in this process only
     calls, transform = [], experiments.commutator_transform
 
     def counting(a, b, S, fs, *args):
@@ -353,15 +355,10 @@ def test_cli_rejects_unknown_subcommand():
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run_all forks workers only on Linux")
 
 
-def _cpus(monkeypatch, count: int):
-    """Make this process's affinity mask hold `count` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 @linux_only
 def test_worker_count_is_the_cpus_up_to_one_per_runner(monkeypatch):
     for cpus, workers in [(1, 1), (2, 2), (3, 3), (64, 5)]:
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert _worker_count(5) == workers
     # fork is not safe while another thread runs
     release = threading.Event()
@@ -380,7 +377,7 @@ def test_run_all_rows_do_not_depend_on_the_cpus(monkeypatch):
     serial = rows_to_csv([row for name in sorted(experiments.RUNNERS) for row in experiments.RUNNERS[name](SMALL)])
     assert rows_to_csv(run_all(SMALL)) == serial
     for cpus in (1, 2, 3):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert rows_to_csv(run_all(SMALL)) == serial
 
 
@@ -405,7 +402,7 @@ def _each_runner_raising(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 5])
 def test_run_all_raises_the_first_failure_in_sorted_order(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     _each_runner_raising(monkeypatch)
     with pytest.raises(ViolationError, match="commutator-ratios violated") as info:
         run_all(SMALL)
@@ -419,7 +416,7 @@ def _in_child() -> bool:
 
 @linux_only
 def test_run_all_leaves_no_child_process(monkeypatch):
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     run_all(SMALL)
     assert multiprocessing.active_children() == []
 
@@ -440,7 +437,7 @@ def test_run_all_leaves_no_child_process(monkeypatch):
 
     for name in list(experiments.RUNNERS):
         monkeypatch.setitem(experiments.RUNNERS, name, dying)
-    with pytest.raises(RuntimeError, match="exited without its rows"):
+    with pytest.raises(RuntimeError, match="exited without its results"):
         run_all(SMALL)
     assert multiprocessing.active_children() == []
 
@@ -484,3 +481,160 @@ def test_cli_all_violation_in_a_worker_exits_2_with_its_dump(tmp_path):
     assert json.loads(dump) == {"runner": name}
     assert not out.exists()
 
+
+# ------------------------------------------------ trials fanned out in workers
+
+FAN_OUT_CASES = {
+    # SAMPLING_ATTEMPTS 1 exhausts rejection sampling on some trials only
+    "psumming": (run_psumming_check, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(1.5, 1.5), (3.0, 3.0)], trials=2)),
+    "commutator": (run_commutator_ratios, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(1.0, 2.0), (2.0, 2.0)], trials=2)),
+    "truncation": (run_truncation_growth, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)),
+}
+
+
+@linux_only
+@pytest.mark.parametrize("case", sorted(FAN_OUT_CASES))
+def test_fanned_out_rows_do_not_depend_on_the_cpus(monkeypatch, case):
+    runner, cfg = FAN_OUT_CASES[case]
+    monkeypatch.setattr(experiments, "SAMPLING_ATTEMPTS", 1)
+    set_cpus(monkeypatch, 1)
+    rows = runner(cfg)
+    metrics = {r.metric for r in rows}
+    if case != "truncation":
+        assert "rejection_exhausted" in metrics and len(metrics) > 1
+    if case == "commutator":
+        assert "adversarial_normalized_ratio" in metrics
+    for cpus in (2, 3):
+        set_cpus(monkeypatch, cpus)
+        assert rows_to_csv(runner(cfg)) == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fan_out_raises_the_first_failing_trial_in_serial_order(monkeypatch, cpus):
+    # the bound fails at every n >= 3, after a pause at n = 3 in which other
+    # workers take and fail later trials
+    check = experiments.lipschitz_commutator_check
+
+    def failing(a, b, S, fs, ctx):
+        results = check(a, b, S, fs, ctx)
+        n = len(a.lambdas)
+        if n == 3:
+            time.sleep(0.3)
+        return [{**res, "satisfied": n < 3} for res in results]
+
+    monkeypatch.setattr(experiments, "lipschitz_commutator_check", failing)
+    cfg = ExperimentConfig(seed=5, dims=[2, 3, 4, 5, 6], pq_pairs=[(1.5, 1.5)], trials=1)
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(ViolationError, match="p-summing commutator bound violated") as info:
+        run_psumming_check(cfg)
+    assert multiprocessing.active_children() == []
+    set_cpus(monkeypatch, 1)
+    with pytest.raises(ViolationError) as serial:
+        run_psumming_check(cfg)
+    assert (info.value.dump["n"], info.value.dump["f"]) == (3, "abs")
+    assert info.value.dump == serial.value.dump
+
+
+# every trial but the first violates the bound in a child, and the first
+# runs in the parent after a pause in which the child takes the second
+VIOLATING_PSUMMING_RUN = """
+import multiprocessing, os, sys, time
+from doilab import cli, experiments
+
+os.sched_getaffinity = lambda pid: {0, 1}
+check = experiments.lipschitz_commutator_check
+
+def failing(a, b, S, fs, ctx):
+    results = check(a, b, S, fs, ctx)
+    if multiprocessing.parent_process() is None:
+        time.sleep(0.2)
+        return results
+    return [{**res, "satisfied": False} for res in results]
+
+experiments.lipschitz_commutator_check = failing
+sys.exit(cli.main(["psumming-check", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@linux_only
+def test_cli_psumming_violation_in_a_worker_exits_2_with_its_dump(tmp_path):
+    src = Path(experiments.__file__).resolve().parents[1]
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, dims=[2, 3], pq_pairs=[[1.5, 1.5]], trials=1)
+    done = subprocess.run(
+        [sys.executable, "-c", VIOLATING_PSUMMING_RUN, cfg, str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2, done.stderr
+    first, dump = done.stderr.split("\n", 1)
+    assert first == "violation: p-summing commutator bound violated"
+    dump = json.loads(dump)
+    assert (dump["p"], dump["n"], dump["trial"], dump["f"]) == (1.5, 3, 0, "abs")
+    assert not out.exists()
+
+
+@linux_only
+def test_fan_out_leaves_no_child_process(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    assert experiments._fan_out(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+    assert multiprocessing.active_children() == []
+
+    def failing(x):
+        if x == 4:
+            raise ValueError("item failed")
+        return x
+
+    with pytest.raises(ValueError, match="item failed"):
+        experiments._fan_out(failing, range(7))
+    assert multiprocessing.active_children() == []
+
+    # a child that dies without its results is an error, not a hang
+    def dying(x):
+        if _in_child():
+            os._exit(1)
+        time.sleep(0.2)  # the children take items meanwhile
+        return x
+
+    with pytest.raises(RuntimeError, match="exited without its results"):
+        experiments._fan_out(dying, range(4))
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_fan_out_hands_each_item_to_one_process(monkeypatch):
+    # more workers than CPUs contend for the shared counter: a lost update
+    # would compute an item twice or skip one
+    set_cpus(monkeypatch, 8)
+
+    def item_and_pid(x):
+        time.sleep(0.001)  # so that every process takes items
+        return x, os.getpid()
+
+    out = experiments._fan_out(item_and_pid, range(300))
+    assert [x for x, _ in out] == list(range(300))
+    assert len({pid for _, pid in out}) > 1
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_runners_inside_run_all_start_no_process(monkeypatch):
+    set_cpus(monkeypatch, 3)
+
+    def slow_pid(x):
+        time.sleep(0.05)  # so that every process takes items
+        return os.getpid()
+
+    def fanning_out(cfg):
+        return [(os.getpid(), experiments._fan_out(slow_pid, range(4)))]
+
+    for name in list(experiments.RUNNERS):
+        monkeypatch.setitem(experiments.RUNNERS, name, fanning_out)
+    runs = run_all(SMALL)
+    assert len(runs) == len(experiments.RUNNERS)
+    assert len({pid for pid, _ in runs}) > 1  # run_all itself fanned out
+    for runner_pid, pids in runs:
+        assert pids == [runner_pid] * 4
+    # outside run_all the same runner does fan out
+    [(runner_pid, pids)] = fanning_out(SMALL)
+    assert set(pids) != {runner_pid}

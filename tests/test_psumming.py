@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinity import set_cpus
 from doilab import psumming
 from doilab.experiments import ExperimentConfig, run_psumming_check
 from doilab.norms import INF
@@ -201,6 +202,7 @@ def test_check_of_several_functions_equals_one_function_checks(p):
 
 
 def test_psumming_check_computes_each_k_once_per_instance(monkeypatch):
+    set_cpus(monkeypatch, 1)  # the patch below counts calls in this process only
     calls = []
     k = psumming.diagonalizability_constant
 

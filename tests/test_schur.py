@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinity import set_cpus
 from doilab import schur
 from doilab.experiments import ExperimentConfig, config_from_dict, run_truncation_growth
 from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm_upper, opnorms
@@ -560,6 +561,7 @@ def test_multiplier_norms_rejects_mismatched_configs():
 
 
 def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
+    set_cpus(monkeypatch, 1)  # the patch below counts calls in this process only
     calls = _counting_s1_witness(monkeypatch)
     dims = [2, 4, 8]
     cfg = ExperimentConfig(seed=3, dims=dims, pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)
