@@ -9,6 +9,7 @@ from .norms import (
     opnorm,
     opnorm_bruteforce,
     opnorm_upper,
+    opnorm_uppers,
     opnorms,
     power_iteration_pq,
     vector_norm,

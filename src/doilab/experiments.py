@@ -251,11 +251,15 @@ def _truncation_rows(cfg: ExperimentConfig, n: int) -> tuple:
 
 
 def run_truncation_growth(cfg: ExperimentConfig) -> list:
-    """The rows of each n, fanned out over the CPUs. A lower-bound estimate
-    that carries an upper bound (at (2,2), the Haagerup bound of the S_1
-    alternation) also gets a `multiplier_norm_upper` row. Each pair's norms
-    are fitted against ln n when dims has at least two entries."""
-    per_n = _fan_out(lambda n: _truncation_rows(cfg, n), cfg.dims)
+    """The rows of each n, fanned out over the CPUs largest n first, since
+    the largest staircase takes the longest; a failure is thus reported for
+    the largest failing n. A lower-bound estimate that carries an upper
+    bound (at (2,2), the Haagerup bound of the S_1 alternation) also gets a
+    `multiplier_norm_upper` row. Each pair's norms are fitted against ln n,
+    in `cfg.dims` order, when dims has at least two entries."""
+    largest_first = sorted(cfg.dims, reverse=True)
+    by_n = dict(zip(largest_first, _fan_out(lambda n: _truncation_rows(cfg, n), largest_first)))
+    per_n = [by_n[n] for n in cfg.dims]
     rows = [r for n_rows, _ in per_n for r in n_rows]
     if len(cfg.dims) >= 2:
         for (p, q), vals in zip(cfg.pq_pairs, zip(*(values for _, values in per_n))):

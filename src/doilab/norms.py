@@ -429,9 +429,10 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
     return NormEstimate(float(vals[i]), LOWER_BOUND, X[i].astype(complex), "bruteforce:grid")
 
 
-def riesz_thorin(n1: float, n2: float | None, ninf: float, p: float) -> float:
+def riesz_thorin(n1: float | None, n2: float | None, ninf: float | None, p: float) -> float:
     """Riesz-Thorin bound on an l_p -> l_p norm from bounds n1, n2, ninf
-    on the norms at p = 1, 2, inf (n2 is not read at p in {1, inf})."""
+    on the norms at p = 1, 2, inf; n1 is read only at p < 2, n2 only at
+    1 < p < inf and ninf only at p > 2."""
     if p == 1.0:
         return n1
     if p == INF:
@@ -450,12 +451,83 @@ def _embedding_norm(k: int, r: float, s: float) -> float:
     return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
 
 
+class _UpperAnchors:
+    """The parts of `opnorm_upper` on one matrix S that several pairs
+    (p, q) read: |S|, and sigma_max and the contiguous columns of |S|,
+    each computed on first use."""
+
+    def __init__(self, S: np.ndarray):
+        self.S = S
+        self.a = np.abs(S)
+        self._sigma = None
+        self._cols = None
+
+    def sigma(self) -> float:
+        if self._sigma is None:
+            self._sigma = float(np.linalg.svd(self.S, compute_uv=False)[0])
+        return self._sigma
+
+    # the contiguous rows of |S| and of its transpose sum in the order of
+    # `_exact_qinf` and `_exact_p1`, so these values equal theirs bit for bit
+    def from_one(self, q: float) -> float:
+        """||S||_{1->q}, the max column q-norm."""
+        if self._cols is None:
+            self._cols = np.ascontiguousarray(self.a.T)
+        return float(_row_norms(self._cols, q).max())
+
+    def to_inf(self, p: float) -> float:
+        """||S||_{p->inf}, the max row p*-norm."""
+        return float(_row_norms(np.ascontiguousarray(self.a), conjugate_exponent(p)).max())
+
+
+def opnorm_uppers(S, pairs) -> list[float]:
+    """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S|, sigma_max and
+    the columns of |S| are computed once for all of them, sigma_max and the
+    columns only where some pair reads them."""
+    pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
+    S = np.asarray(S, dtype=complex)
+    m, n = S.shape
+    anchors = _UpperAnchors(S)
+    a = anchors.a
+    out = []
+    for p, q in pairs:
+        if p == q:
+            out.append(riesz_thorin(
+                float(a.sum(axis=0).max()) if p < 2.0 else None,
+                anchors.sigma() if 1.0 < p < INF else None,
+                float(a.sum(axis=1).max()) if p > 2.0 else None,
+                p,
+            ))
+            continue
+        if p == 1.0:
+            out.append(anchors.from_one(q))
+            continue
+        if q == INF:
+            out.append(anchors.to_inf(p))
+            continue
+        sigma = anchors.sigma()
+        to_inf = anchors.to_inf(p)
+        bounds = [
+            _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
+            _embedding_norm(n, p, 1.0) * anchors.from_one(q),
+            to_inf * _embedding_norm(m, INF, q),
+            float(a.sum()),
+        ]
+        if p == 2.0 and q > 2.0:
+            bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+        if p < q:
+            pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
+            bounds.append(anchors.from_one(1.0) ** (1.0 / q) * anchors.to_inf(pt) ** (1.0 - 1.0 / q))
+        out.append(min(bounds))
+    return out
+
+
 def opnorm_upper(S, p, q) -> float:
     """Certified upper bound on the l_p -> l_q norm of the m x n matrix S.
 
     At p = q: exact at p in {1, 2, inf}, Riesz-Thorin interpolation between
-    those anchors otherwise. At p != q: exact on the p = 1 and q = inf
-    branches, otherwise the least of
+    those anchors otherwise, each anchor computed only where it is read.
+    At p != q: exact on the p = 1 and q = inf branches, otherwise the least of
     - the (2,2) anchor ||I||_{p->2} sigma_max ||I||_{2->q};
     - the (1,q) anchor n^(1-1/p) ||S||_{1->q};
     - the (p,inf) anchor m^(1/q) ||S||_{p->inf};
@@ -466,31 +538,4 @@ def opnorm_upper(S, p, q) -> float:
       (pt,inf) edge through (p,q), ||S||_{1->1}^(1/q) ||S||_{pt->inf}^(1-1/q)
       with 1/pt = (1/p - 1/q) / (1 - 1/q), both ends exact branches.
     """
-    p = check_exponent(p)
-    q = check_exponent(q)
-    S = np.asarray(S, dtype=complex)
-    if p == q:
-        a = np.abs(S)
-        n1 = float(a.sum(axis=0).max())
-        ninf = float(a.sum(axis=1).max())
-        n2 = float(np.linalg.svd(S, compute_uv=False)[0]) if 1.0 < p < INF else None
-        return riesz_thorin(n1, n2, ninf, p)
-    if p == 1.0:
-        return _exact_p1(S, q).value
-    if q == INF:
-        return _exact_qinf(S, p).value
-    m, n = S.shape
-    sigma = float(np.linalg.svd(S, compute_uv=False)[0])
-    to_inf = _exact_qinf(S, p).value
-    bounds = [
-        _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
-        _embedding_norm(n, p, 1.0) * _exact_p1(S, q).value,
-        to_inf * _embedding_norm(m, INF, q),
-        float(np.abs(S).sum()),
-    ]
-    if p == 2.0 and q > 2.0:
-        bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
-    if p < q:
-        pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
-        bounds.append(_exact_p1(S, 1.0).value ** (1.0 / q) * _exact_qinf(S, pt).value ** (1.0 - 1.0 / q))
-    return min(bounds)
+    return opnorm_uppers(S, [(p, q)])[0]

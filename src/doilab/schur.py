@@ -22,7 +22,7 @@ from .norms import (
     SearchConfig,
     check_exponent,
     opnorm,
-    opnorm_upper,
+    opnorm_uppers,
     search_configs,
 )
 
@@ -124,11 +124,11 @@ def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
     return h
 
 
-def _svd_ratio(M: np.ndarray, S: np.ndarray) -> float:
-    """||M o S|| / ||S|| on l_2, both norms exact (largest singular
-    values); 0 when S is zero."""
+def _svd_ratio(MS: np.ndarray, S: np.ndarray) -> float:
+    """||M o S|| / ||S|| on l_2 from MS = M o S, both norms exact (largest
+    singular values); 0 when S is zero."""
     den = np.linalg.norm(S, 2)
-    return float(np.linalg.norm(M * S, 2) / den) if den > 0.0 else 0.0
+    return float(np.linalg.norm(MS, 2) / den) if den > 0.0 else 0.0
 
 
 def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.ndarray, float]:
@@ -215,8 +215,10 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
 
     cfg is one SearchConfig for every pair or a sequence of one per pair,
     all sharing one tol and one max_iter, as in `opnorms`. The witnesses
-    depend only on M, tol and max_iter, so they are built once, on the
-    first pair that needs them, and every pair is evaluated at the same set.
+    depend only on M, tol and max_iter, so they are built once, when some
+    pair is not exact, and every pair is evaluated at the same set. Each
+    witness's product M o S is formed once, and the upper bounds of S and
+    M o S at every pair off (2,2) come from one `opnorm_uppers` pass each.
     Estimates that report the same witness share its array."""
     M = np.asarray(M)
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
@@ -229,24 +231,30 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)
     unit[kj] = 1.0
-    cands, upper = [], 0.0
+    exact = [p == 1.0 or q == INF for p, q in pairs]
+    witnesses, upper = [], 0.0
+    if maxmod > 0.0 and not all(exact):
+        conj_w, upper = _s1_witness(M, cfgs[0], maxmod)
+        off = [pq for pq, e in zip(pairs, exact) if not e and pq != (2.0, 2.0)]
+        for S in (conj_w, hilbert_type_witness(*M.shape)):
+            MS = M * S
+            # (upper bound on ||S||, upper bound on ||M o S||) at each pair in off
+            uppers = dict(zip(off, zip(opnorm_uppers(S, off), opnorm_uppers(MS, off))))
+            witnesses.append((S, MS, uppers))
     out = []
-    for (p, q), c in zip(pairs, cfgs):
-        if p == 1.0 or q == INF:
+    for (p, q), c, e in zip(pairs, cfgs, exact):
+        if e:
             out.append(NormEstimate(maxmod, EXACT, unit.ravel(), "exact:max_entry", maxmod))
             continue
-        if maxmod > 0.0 and not cands:
-            W, upper = _s1_witness(M, c, maxmod)
-            cands = [W, hilbert_type_witness(*M.shape)]
         best, witness = maxmod, unit
-        for S in cands:
+        for S, MS, uppers in witnesses:
             if p == q == 2.0:
-                r = _svd_ratio(M, S)
+                r = _svd_ratio(MS, S)
             else:
-                den = opnorm_upper(S, p, q)
-                if den == 0.0 or opnorm_upper(M * S, p, q) / den <= best:
+                den, num = uppers[p, q]
+                if den == 0.0 or num / den <= best:
                     continue
-                r = opnorm(M * S, p, q, c).value / den
+                r = opnorm(MS, p, q, c).value / den
             if r > best:
                 best, witness = r, S
         bound = upper if p == q == 2.0 else None

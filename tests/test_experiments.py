@@ -535,6 +535,41 @@ def test_fan_out_raises_the_first_failing_trial_in_serial_order(monkeypatch, cpu
     assert info.value.dump == serial.value.dump
 
 
+UNSORTED_TRUNCATION = ExperimentConfig(seed=3, dims=[4, 2, 8], pq_pairs=[(2.0, 2.0), (3.0, 1.5)], trials=1)
+
+
+@linux_only
+def test_truncation_growth_fits_unsorted_dims_in_their_own_order(monkeypatch):
+    # the n run largest first, and the fits still take them in dims order
+    cfg = UNSORTED_TRUNCATION
+    set_cpus(monkeypatch, 1)
+    rows = run_truncation_growth(cfg)
+    for p, q in cfg.pq_pairs:
+        norms = {r.n: r.value for r in rows if (r.p, r.q, r.metric) == (p, q, "multiplier_norm")}
+        fits = {r.metric: r.value for r in rows if (r.p, r.q) == (p, q) and r.metric.startswith("fit_")}
+        fit = experiments._fit_log(cfg.dims, [norms[n] for n in cfg.dims])
+        assert fits == dict(zip(("fit_slope", "fit_intercept", "fit_residual"), fit))
+    set_cpus(monkeypatch, 2)
+    assert rows_to_csv(run_truncation_growth(cfg)) == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_truncation_growth_reports_the_largest_failing_n(monkeypatch, cpus):
+    # n = 2 comes before n = 8 in dims, but n = 8 runs first
+    search = experiments.multiplier_norms
+
+    def failing(M, pairs, cfg):
+        if len(M) in (2, 8):
+            raise ValueError(f"n = {len(M)} failed")
+        return search(M, pairs, cfg)
+
+    monkeypatch.setattr(experiments, "multiplier_norms", failing)
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="^n = 8 failed$"):
+        run_truncation_growth(UNSORTED_TRUNCATION)
+    assert multiprocessing.active_children() == []
+
+
 # every trial but the first violates the bound in a child, and the first
 # runs in the parent after a pause in which the child takes the second
 VIOLATING_PSUMMING_RUN = """

@@ -20,6 +20,7 @@ from doilab.norms import (
     opnorm,
     opnorm_bruteforce,
     opnorm_upper,
+    opnorm_uppers,
     opnorms,
     power_iteration_pq,
     vector_norm,
@@ -705,3 +706,41 @@ def test_opnorm_upper_at_p_equals_q_is_pinned():
         S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = [opnorm_upper(S, p, p) for p in (1.0, 1.5, 2.0, 3.0, INF)]
         assert got == [float.fromhex(h) for h in pins]
+
+
+# values of the per-pair implementation on the matrices above, one branch of
+# `opnorm_upper` each off the diagonal: p = 1, q = inf, p < q (at p = 2 too),
+# and p > q
+OFF_DIAGONAL_PAIRS = [(1.0, 3.0), (1.5, INF), (1.5, 3.0), (2.0, 4.0), (2.0, 3.0), (3.0, 1.5), (4.0, 2.0)]
+OFF_DIAGONAL_PINS = {
+    (4, 4): ["0x1.4f5508d014752p+1", "0x1.a8001995c5959p+1", "0x1.0a273fbce8e27p+2", "0x1.2281f97c23e07p+2",
+             "0x1.2adf06aca89a2p+2", "0x1.f6237404107a8p+2", "0x1.bf5ac2e23b44ep+2"],
+    (3, 5): ["0x1.ecefdc57a8f09p+0", "0x1.3cf933d5ee464p+1", "0x1.a57485f337903p+1", "0x1.b37e52075d955p+1",
+             "0x1.bc33a760de251p+1", "0x1.6ae13d4b2eadfp+2", "0x1.5988922975de3p+2"],
+}
+
+
+def test_opnorm_upper_off_the_diagonal_is_pinned():
+    # Schur-multiplier ratios off (2,2) divide by it
+    rng = np.random.default_rng(21)
+    for shape, pins in OFF_DIAGONAL_PINS.items():
+        S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert [opnorm_upper(S, p, q) for p, q in OFF_DIAGONAL_PAIRS] == [float.fromhex(h) for h in pins]
+
+
+# every branch of opnorm_upper: p = q at each anchor and in between, p = 1,
+# q = inf (both at once too), p < q, p = 2 < q and p > q
+UPPER_PAIRS = [
+    (1.0, 1.0), (1.5, 1.5), (2.0, 2.0), (3.0, 3.0), (INF, INF),
+    (1.0, 3.0), (1.0, INF), (2.0, INF), *OFF_DIAGONAL_PAIRS[2:], (INF, 1.0),
+]
+
+
+def test_opnorm_uppers_equal_opnorm_upper_at_each_pair_bit_for_bit():
+    # the pair-independent parts are computed once and shared by every
+    # pair, in either order, and repeated pairs read them again
+    for S in _upper_test_matrices(23):
+        for pairs in (UPPER_PAIRS, UPPER_PAIRS[::-1], UPPER_PAIRS + UPPER_PAIRS[:3]):
+            got = [v.hex() for v in opnorm_uppers(S, pairs)]
+            assert got == [opnorm_upper(S, p, q).hex() for p, q in pairs], (S.shape, S.dtype)
+    assert opnorm_uppers(np.eye(3), []) == []

@@ -563,10 +563,10 @@ def test_multiplier_norms_rejects_mismatched_configs():
 def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
     set_cpus(monkeypatch, 1)  # the patch below counts calls in this process only
     calls = _counting_s1_witness(monkeypatch)
-    dims = [2, 4, 8]
-    cfg = ExperimentConfig(seed=3, dims=dims, pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)
+    cfg = ExperimentConfig(seed=3, dims=[4, 2, 8], pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)
     run_truncation_growth(cfg)
-    assert calls == [(n, n) for n in dims]
+    # one set per n, the largest n first: it takes the longest
+    assert calls == [(8, 8), (4, 4), (2, 2)]
 
 
 # ------------------------------------ pruned candidates off (2,2) and exact
@@ -599,6 +599,34 @@ def test_pruned_multiplier_norms_equal_the_unpruned_reference(M):
     pairs = [(2.0, 4.0), (3.0, 1.5)]
     cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
     for est, (p, q) in zip(multiplier_norms(M, pairs, cfg), pairs):
+        value, witness = _unpruned_multiplier_norm(M, p, q, cfg)
+        assert (est.value, est.certainty) == (value, LOWER_BOUND)
+        assert est.witness.tobytes() == witness.tobytes()
+
+
+def test_multiplier_norms_takes_one_value_svd_per_witness_matrix(monkeypatch):
+    # the upper bounds of S and M o S at (2,4) and (3,1.5) share one
+    # sigma_max each: four complex value-only SVDs, not one per pair
+    svd, taken = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True) and np.iscomplexobj(a):
+            taken.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    M = standard_truncation_mask(16, 16, 16)
+    pairs = [(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)]
+    cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    ests = multiplier_norms(M, pairs, cfg)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    W = schur._s1_witness(M, cfg, 1.0)[0]
+    H = hilbert_type_witness(16, 16).astype(complex)
+    mats = [W, M * W, H, M * H]
+    assert [[np.array_equal(a, S) for S in mats] for a in taken] == np.eye(4, dtype=bool).tolist()
+    ref = multiplier_norm(M, 2.0, 2.0, cfg)
+    assert (ests[0].value, ests[0].upper) == (ref.value, ref.upper)
+    for est, (p, q) in zip(ests[1:], pairs[1:]):
         value, witness = _unpruned_multiplier_norm(M, p, q, cfg)
         assert (est.value, est.certainty) == (value, LOWER_BOUND)
         assert est.witness.tobytes() == witness.tobytes()
