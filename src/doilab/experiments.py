@@ -28,6 +28,11 @@ from .psumming import PSummingContext, lipschitz_commutator_check
 # at most K_TARGET within SAMPLING_ATTEMPTS draws, or the trial is flagged
 K_TARGET = 2.0
 SAMPLING_ATTEMPTS = 60
+# MIXED_EPS is the eps of p2q2-mixed's norms from l_2 to l_{2-eps} and from
+# l_{2+eps} to l_2; IDENTITY_TOL is doi-identity's bound on the DOI identity
+# residual, relative to the scale of the instance
+MIXED_EPS = 0.5
+IDENTITY_TOL = 1e-9
 CSV_HEADER = "experiment,n,p,q,trial,metric,value,certainty,seed_used"
 
 
@@ -53,8 +58,6 @@ class ExperimentConfig:
     dims: list = field(default_factory=lambda: [2, 4, 8, 16])
     pq_pairs: list = field(default_factory=lambda: [(1.0, 2.0), (1.0, INF), (2.0, 2.0)])
     trials: int = 20
-    eps: float = 0.5
-    tol: float = 1e-9
     search: SearchConfig = field(default_factory=lambda: SearchConfig(multistarts=8, max_iter=300))
     output_path: str = "results.csv"
 
@@ -80,14 +83,6 @@ def _parse_int(v, key: str, minimum: int | None = None) -> int:
     return v
 
 
-def _parse_float(v, key: str, low: float, high: float = INF) -> float:
-    """A finite number in (low, high]."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not (math.isfinite(v) and low < v <= high):
-        where = f"> {low:g}" if high == INF else f"in ({low:g}, {high:g}]"
-        raise ConfigError(f"{key} must be a finite number {where}, got {v!r}")
-    return float(v)
-
-
 def _check_keys(d, known: set, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -98,7 +93,7 @@ def _check_keys(d, known: set, where: str):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    _check_keys(d, {"seed", "dims", "pq_pairs", "trials", "eps", "tol", "search", "output_path"}, "config")
+    _check_keys(d, {"seed", "dims", "pq_pairs", "trials", "search", "output_path"}, "config")
     if "seed" in d:
         cfg.seed = _parse_int(d["seed"], "seed")
     if "dims" in d:
@@ -116,19 +111,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"pq_pairs has a duplicate pair: {pairs}")
     if "trials" in d:
         cfg.trials = _parse_int(d["trials"], "trials", 1)
-    if "eps" in d:
-        cfg.eps = _parse_float(d["eps"], "eps", 0.0, 1.0)
-    if "tol" in d:
-        cfg.tol = _parse_float(d["tol"], "tol", 0.0)
     if "search" in d:
         s = d["search"]
-        _check_keys(s, {"restarts", "max_iter", "iter_tol"}, "search")
+        _check_keys(s, {"restarts"}, "search")
         if "restarts" in s:
             cfg.search.multistarts = _parse_int(s["restarts"], "search.restarts", 1)
-        if "max_iter" in s:
-            cfg.search.max_iter = _parse_int(s["max_iter"], "search.max_iter", 1)
-        if "iter_tol" in s:
-            cfg.search.tol = _parse_float(s["iter_tol"], "search.iter_tol", 0.0)
     if "output_path" in d:
         if not isinstance(d["output_path"], str) or not d["output_path"]:
             raise ConfigError(f"output_path must be a nonempty string, got {d['output_path']!r}")
@@ -232,13 +219,18 @@ def _fit_log(ns, values):
     return float(coef[0]), float(coef[1]), resid
 
 
+def _complex_gaussian(rng, n):
+    """n x n standard complex Gaussians, the real part drawn first."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
 # ---------------------------------------------------------------- truncation
 
 
-def _truncation_rows(cfg: ExperimentConfig, n: int) -> tuple:
-    """The rows of one n, and each pair's norm in `cfg.pq_pairs` order: one
-    `multiplier_norms` call on the n x n staircase holds every pair, each
-    with its own seeded search, so the witness set is built once per n."""
+def _truncation_rows(cfg: ExperimentConfig, n: int) -> list:
+    """The rows of one n: one `multiplier_norms` call on the n x n staircase
+    holds every pair, each with its own seeded search, so the witness set
+    is built once per n."""
     label = "truncation_growth"
     trials = [_trial(cfg, label, p, q, n, 0) for p, q in cfg.pq_pairs]
     ests = multiplier_norms(standard_truncation_mask(n, n, n), cfg.pq_pairs, [t.search for t in trials])
@@ -247,7 +239,7 @@ def _truncation_rows(cfg: ExperimentConfig, n: int) -> tuple:
         rows.append(t.row("multiplier_norm", est.value, est.certainty))
         if est.certainty == LOWER_BOUND and est.upper is not None:
             rows.append(t.row("multiplier_norm_upper", est.upper, UPPER_BOUND))
-    return rows, [est.value for est in ests]
+    return rows
 
 
 def run_truncation_growth(cfg: ExperimentConfig) -> list:
@@ -257,13 +249,13 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
     bound (at (2,2), the Haagerup bound of the S_1 alternation) also gets a
     `multiplier_norm_upper` row. Each pair's norms are fitted against ln n,
     in `cfg.dims` order, when dims has at least two entries."""
-    largest_first = sorted(cfg.dims, reverse=True)
-    by_n = dict(zip(largest_first, _fan_out(lambda n: _truncation_rows(cfg, n), largest_first)))
-    per_n = [by_n[n] for n in cfg.dims]
-    rows = [r for n_rows, _ in per_n for r in n_rows]
+    per_n = _fan_out(lambda n: _truncation_rows(cfg, n), sorted(cfg.dims, reverse=True))
+    rows = [r for n_rows in per_n for r in n_rows]
     if len(cfg.dims) >= 2:
-        for (p, q), vals in zip(cfg.pq_pairs, zip(*(values for _, values in per_n))):
+        norm = {(r.p, r.q, r.n): r.value for r in rows if r.metric == "multiplier_norm"}
+        for p, q in cfg.pq_pairs:
             fit = _trial(cfg, "truncation_growth", p, q, 0, 0)
+            vals = [norm[p, q, n] for n in cfg.dims]
             for metric, value in zip(("fit_slope", "fit_intercept", "fit_residual"), _fit_log(cfg.dims, vals)):
                 rows.append(fit.row(metric, value, "derived"))
     return _sort_rows(rows)
@@ -279,8 +271,7 @@ def _sample_controlled_operator(rng, n, p):
     lam = rng.uniform(-1.0, 1.0, size=n)
     delta = 0.3 / math.sqrt(n)
     for _ in range(SAMPLING_ATTEMPTS):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u = np.eye(n) + delta * g
+        u = np.eye(n) + delta * _complex_gaussian(rng, n)
         try:
             u_inv = np.linalg.inv(u)
         except np.linalg.LinAlgError:
@@ -299,7 +290,7 @@ def _sampled_instance(rng, n: int, pa: float, pb: float):
     b = _sample_controlled_operator(rng, n, pb)
     if a is None or b is None:
         return None
-    return a, b, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a, b, _complex_gaussian(rng, n)
 
 
 def _adversarial_instance(n: int):
@@ -373,8 +364,7 @@ def run_commutator_ratios(cfg: ExperimentConfig) -> list:
 
 
 def _random_unitary(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    qmat, r = np.linalg.qr(g)
+    qmat, r = np.linalg.qr(_complex_gaussian(rng, n))
     return qmat * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
@@ -397,8 +387,8 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
             lhs.append(opnorm(functional_calculus(b, abs) - functional_calculus(a, abs), 2.0, 2.0))
             mids.append(b.u @ (B - A) @ a.u_inv)
         searches = [t.search for t in trials]
-        m1s = opnorms(mids, 2.0, 2.0 - cfg.eps, searches)
-        m2s = opnorms(mids, 2.0 + cfg.eps, 2.0, searches)
+        m1s = opnorms(mids, 2.0, 2.0 - MIXED_EPS, searches)
+        m2s = opnorms(mids, 2.0 + MIXED_EPS, 2.0, searches)
         for t, lhs_t, m1, m2 in zip(trials, lhs, m1s, m2s):
             best = min(m1.value, m2.value)
             implied = lhs_t.value / best if best > 1e-14 else math.inf
@@ -443,9 +433,7 @@ def _psumming_rows(t: _Trial) -> list:
 def run_psumming_check(cfg: ExperimentConfig) -> list:
     """The rows of every trial at each interior exponent of the pairs,
     fanned out over the CPUs."""
-    ps = sorted({p for p, _ in cfg.pq_pairs if 1.0 < p < INF} | {p for _, p in cfg.pq_pairs if 1.0 < p < INF})
-    if not ps:
-        ps = [1.5, 2.0, 3.0]
+    ps = sorted({p for pq in cfg.pq_pairs for p in pq if 1.0 < p < INF})
     trials = [t for p in ps for t in _trials(cfg, "psumming_check", p, p)]
     return _sort_rows([r for rows in _fan_out(_psumming_rows, trials) for r in rows])
 
@@ -464,20 +452,18 @@ def run_doi_identity(cfg: ExperimentConfig) -> list:
             lam[: n // 2 + 1] = lam[0]
             mu[0] = lam[0]
         delta = 0.3 / math.sqrt(n)
-        u = np.eye(n) + delta * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        v = np.eye(n) + delta * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        a = DiagonalizableOperator(lam, u, np.linalg.inv(u))
-        b = DiagonalizableOperator(mu, v, np.linalg.inv(v))
-        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = DiagonalizableOperator.from_u(lam, np.eye(n) + delta * _complex_gaussian(rng, n))
+        b = DiagonalizableOperator.from_u(mu, np.eye(n) + delta * _complex_gaussian(rng, n))
+        S = _complex_gaussian(rng, n)
         f = abs if t.trial % 4 else (lambda x: x)
         [rep] = commutator_transform(a, b, S, [f], 2.0, 2.0, t.search)
         scale = 1.0 + np.abs(S).max() * (1.0 + np.abs(assemble(a)).max() + np.abs(assemble(b)).max())
-        if rep.identity_residual > cfg.tol * scale:
+        if rep.identity_residual > IDENTITY_TOL * scale:
             raise ViolationError(
                 "DOI identity residual exceeded tolerance",
                 {
                     "n": n, "trial": t.trial, "residual": rep.identity_residual,
-                    "allowed": cfg.tol * scale, "collision": collision,
+                    "allowed": IDENTITY_TOL * scale, "collision": collision,
                     "seed_used": t.seed_used,
                 },
             )
@@ -595,8 +581,7 @@ def rows_to_csv(rows: list) -> str:
     return "\n".join([CSV_HEADER, *[row_to_csv(r) for r in rows]]) + "\n"
 
 
-def write_outputs(rows: list, cfg: ExperimentConfig, out_path: str | None = None):
-    path = out_path or cfg.output_path
+def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
     with open(path, "w") as fh:
         fh.write(rows_to_csv(rows))
     summary = {
@@ -605,8 +590,8 @@ def write_outputs(rows: list, cfg: ExperimentConfig, out_path: str | None = None
             "dims": cfg.dims,
             "pq_pairs": [[_fmt_exp(p), _fmt_exp(q)] for p, q in cfg.pq_pairs],
             "trials": cfg.trials,
-            "eps": cfg.eps,
-            "tol": cfg.tol,
+            "eps": MIXED_EPS,
+            "tol": IDENTITY_TOL,
         },
         "fits": {},
         "row_count": len(rows),

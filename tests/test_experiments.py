@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -50,19 +51,14 @@ def test_config_from_dict_roundtrip():
             "dims": [2, 4],
             "pq_pairs": [[1, 2], [2, "inf"]],
             "trials": 3,
-            "eps": 0.25,
-            "tol": 1e-8,
-            "search": {"restarts": 4, "max_iter": 100, "iter_tol": 1e-9},
+            "search": {"restarts": 4},
             "output_path": "out.csv",
         }
     )
-    assert cfg.seed == 99
-    assert cfg.pq_pairs == [(1.0, 2.0), (2.0, INF)]
-    assert cfg.search.multistarts == 4
-    assert cfg.output_path == "out.csv"
-    # search keys left out keep the defaults
-    partial = config_from_dict({"search": {"restarts": 4}}).search
-    assert partial == replace(ExperimentConfig().search, multistarts=4)
+    assert cfg == replace(
+        ExperimentConfig(), seed=99, dims=[2, 4], pq_pairs=[(1.0, 2.0), (2.0, INF)], trials=3,
+        search=replace(ExperimentConfig().search, multistarts=4), output_path="out.csv",
+    )
 
 
 def test_config_rejects_unknown_keys():
@@ -73,7 +69,7 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize(
     "patch",
     [
-        {"trials": 0}, {"dims": []}, {"eps": 1.5}, {"eps": 0.0}, {"pq_pairs": [[0.5, 2]]},
+        {"trials": 0}, {"dims": []}, {"seed": 1.5}, {"dims": 4}, {"pq_pairs": [[0.5, 2]]},
         {"dims": [4, 4]}, {"dims": [2, 4, 2]}, {"pq_pairs": [[2, 2], [2, 2]]},
         # duplicates after parsing: "inf" and 1e400 both parse to inf
         {"pq_pairs": [[1, "inf"], [1, 1e400]]}, {"pq_pairs": [[2, 2.0], [1, 2], [2, 2]]},
@@ -82,6 +78,23 @@ def test_config_rejects_unknown_keys():
 def test_config_validation_errors(patch):
     with pytest.raises(ConfigError):
         config_from_dict(patch)
+
+
+def test_removed_config_keys_are_unknown(tmp_path, capsys):
+    # the mixed eps, the identity tolerance and the search's iteration
+    # limits are constants; a config that sets one, even to its value, is
+    # rejected as setting an unknown key
+    for patch, key in [
+        ({"eps": 0.5}, "eps"), ({"tol": 1e-9}, "tol"),
+        ({"search": {"max_iter": 300}}, "max_iter"), ({"search": {"iter_tol": 1e-10}}, "iter_tol"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"keys: ['{key}']")):
+            config_from_dict(patch)
+        cfg = write_config(tmp_path, **patch)
+        out = tmp_path / "out.csv"
+        assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 3
+        assert f"['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_row_csv_formatting():
@@ -178,7 +191,7 @@ def test_rejection_exhausted_trials_are_flagged(monkeypatch):
 
 
 def test_p2q2_mixed_metrics_present():
-    cfg = ExperimentConfig(seed=4, dims=[3], pq_pairs=[(2.0, 2.0)], trials=2, eps=0.5)
+    cfg = ExperimentConfig(seed=4, dims=[3], pq_pairs=[(2.0, 2.0)], trials=2)
     rows = run_p2q2_mixed(cfg)
     metrics = {r.metric for r in rows}
     assert metrics == {"lhs_norm", "mixed_2_to_2meps", "mixed_2peps_to_2", "implied_constant"}
@@ -199,8 +212,8 @@ def _p2q2_mixed_one_trial_at_a_time(cfg):
         abs_b = b.u_inv @ np.diag(np.abs(mu)) @ b.u
         lhs = opnorm(abs_b - abs_a, 2.0, 2.0, t.search)
         mid = b.u @ (assemble(b) - assemble(a)) @ a.u_inv
-        m1 = opnorm(mid, 2.0, 2.0 - cfg.eps, t.search)
-        m2 = opnorm(mid, 2.0 + cfg.eps, 2.0, t.search)
+        m1 = opnorm(mid, 2.0, 2.0 - experiments.MIXED_EPS, t.search)
+        m2 = opnorm(mid, 2.0 + experiments.MIXED_EPS, 2.0, t.search)
         best = min(m1.value, m2.value)
         rows.append(t.row("lhs_norm", lhs.value, lhs.certainty))
         rows.append(t.row("mixed_2_to_2meps", m1.value, m1.certainty))
@@ -232,6 +245,14 @@ def test_psumming_check_all_satisfied():
     assert tight and all(r.certainty == "lower_bound" for r in tight)
 
 
+def test_psumming_check_without_an_interior_exponent_writes_no_rows(tmp_path):
+    cfg = write_config(tmp_path, pq_pairs=[[1, "inf"]])
+    out = tmp_path / "psum.csv"
+    assert cli.main(["psumming-check", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == CSV_HEADER + "\n"
+    assert json.loads((tmp_path / "psum.csv.summary.json").read_text())["row_count"] == 0
+
+
 def test_doi_identity_runs_clean():
     rows = run_doi_identity(ExperimentConfig(seed=6, dims=[2, 5], pq_pairs=[(2.0, 2.0)], trials=6))
     assert len(rows) == 12
@@ -255,6 +276,8 @@ def test_write_outputs_creates_csv_and_summary(tmp_path):
     summary = json.loads((tmp_path / "res.csv.summary.json").read_text())
     assert summary["row_count"] == len(rows)
     assert "(1,1)" in summary["fits"]
+    # the mixed eps and the identity tolerance are constants, still recorded
+    assert (summary["config"]["eps"], summary["config"]["tol"]) == (0.5, 1e-9)
 
 
 # ----------------------------------------------------------------------- CLI
@@ -308,9 +331,9 @@ def test_cli_config_error_exit_code(tmp_path):
         {"pq_pairs": [[1, 2, 3]]},
         {"search": {"restarts": 2, "retries": 1}},
         {"trials": True},
-        {"tol": -1.0},
-        {"search": {"iter_tol": 0}},
-        {"search": {"iter_tol": -1}},
+        {"seed": "11"},
+        {"search": {"restarts": 0}},
+        {"search": [8]},
         {"pq_pairs": [[True, 2]]},
         {"output_path": None},
         {"output_path": ""},
