@@ -247,12 +247,20 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
     the largest staircase takes the longest; a failure is thus reported for
     the largest failing n. A lower-bound estimate that carries an upper
     bound (at (2,2), the Haagerup bound of the S_1 alternation) also gets a
-    `multiplier_norm_upper` row. Each pair's norms are fitted against ln n,
-    in `cfg.dims` order, when dims has at least two entries."""
+    `multiplier_norm_upper` row. The m x m staircase is a corner of the
+    n x n one for m <= n, so its norm is at most theirs: each lower-bound
+    `multiplier_norm` row at n reports the largest row of its pair at every
+    m <= n in dims (the witness of m, zero-padded, certifies it). Each
+    pair's norms are fitted against ln n, in `cfg.dims` order, when dims
+    has at least two entries."""
     per_n = _fan_out(lambda n: _truncation_rows(cfg, n), sorted(cfg.dims, reverse=True))
     rows = [r for n_rows in per_n for r in n_rows]
+    norms = [r for r in rows if r.metric == "multiplier_norm"]
+    for r in norms:
+        if r.certainty == LOWER_BOUND:
+            r.value = max(s.value for s in norms if (s.p, s.q) == (r.p, r.q) and s.n <= r.n)
     if len(cfg.dims) >= 2:
-        norm = {(r.p, r.q, r.n): r.value for r in rows if r.metric == "multiplier_norm"}
+        norm = {(r.p, r.q, r.n): r.value for r in norms}
         for p, q in cfg.pq_pairs:
             fit = _trial(cfg, "truncation_growth", p, q, 0, 0)
             vals = [norm[p, q, n] for n in cfg.dims]

@@ -114,7 +114,9 @@ def repeat_first_column(M) -> np.ndarray:
 
 def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
     """h_jk = 1/(j-k) off the diagonal, 0 on it; the classical extremal
-    family for triangular truncation."""
+    family for triangular truncation. `multiplier_norms` does not search it,
+    since it never beat the witnesses of `_s1_witness` on the staircases; it
+    is an independent, seed-free floor under their (2,2) estimates."""
     j = np.arange(1, n_rows + 1)[:, None]
     k = np.arange(1, n_cols + 1)[None, :]
     d = j - k
@@ -131,30 +133,75 @@ def _svd_ratio(MS: np.ndarray, S: np.ndarray) -> float:
     return float(np.linalg.norm(MS, 2) / den) if den > 0.0 else 0.0
 
 
-def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.ndarray, float]:
-    """(conj(W), upper): conj(W) for the polar factor W of the best iterate
-    of an alternation that maximizes ||D_u M D_v||_{S_1} over unit u, v >= 0,
-    and the least p=q=2 upper bound that the iterates certify. At p=q=2
-    that sup is the multiplier norm (trace-class duality); at other pairs
-    conj(W) is a witness without that guarantee.
+# the S_1 alternation's Anderson step mixes the plain-step images of its
+# last ANDERSON_DEPTH accepted iterates
+ANDERSON_DEPTH = 4
 
-    From u, v each iteration takes the SVD X = D_u M D_v = U s Vh, whose
-    value sum(s) is tr(W* X) = u^T G v for the polar factor W = U Vh and
-    G = conj(W) o M, then one bilinear power step on G. The step does not
-    lower u^T G v (Cauchy-Schwarz), and ||D_u M D_v||_{S_1} >= |u^T G v|
-    for unit complex u, v, with equality of the S_1 norm at |u|, |v|, so the
-    value never decreases. The loop stops when it rises by at most
-    `cfg.tol` (relative) or after `cfg.max_iter` iterations. Needs
-    maxmod = max |M_kj| > 0.
+
+def _power_step(G: np.ndarray, u: np.ndarray):
+    """One bilinear power step on G from u: (|u'|, |v'|), each normalized,
+    for v' = conj(G^T u) and u' = conj(G v'); None when either is zero."""
+    v = np.conj(G.T @ u)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return None
+    u = np.conj(G @ v)
+    nu = np.linalg.norm(u)
+    if nu == 0.0:
+        return None
+    return np.abs(u) / nu, np.abs(v) / nv
+
+
+def _anderson_mix(points: list, images: list):
+    """Anderson's mix of the images g_i = g(x_i) of a fixed-point map g
+    (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)): sum_i a_i g_i with the
+    weights, summing to 1, that minimize ||sum_i a_i (g_i - x_i)||_2, found
+    by least squares over consecutive differences. Each point and image is
+    a pair (u, v); the mix is returned as (|u|, |v|), each normalized, or
+    None when either is zero or not finite."""
+    m = len(points[0][0])
+    g = np.array([np.concatenate(x) for x in images])
+    f = g - np.array([np.concatenate(x) for x in points])
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    z = np.abs(g[-1] - np.diff(g, axis=0).T @ gamma)
+    nu, nv = np.linalg.norm(z[:m]), np.linalg.norm(z[m:])
+    if not (0.0 < nu < INF and 0.0 < nv < INF):
+        return None
+    return z[:m] / nu, z[m:] / nv
+
+
+def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(conj(W), conj(W_1), upper): conj(W) for the polar factor W of the
+    best iterate of an alternation that maximizes ||D_u M D_v||_{S_1} over
+    unit u, v >= 0, conj(W_1) for the polar factor W_1 of its second
+    iterate, and the least p=q=2 upper bound that the iterates certify. At
+    p=q=2 that sup is the multiplier norm (trace-class duality); at other
+    pairs conj(W) and conj(W_1) are witnesses without that guarantee.
+
+    Each iterate u, v takes the SVD X = D_u M D_v = U s Vh, whose value
+    sum(s) is tr(W* X) = u^T G v for the polar factor W = U Vh and
+    G = conj(W) o M. The plain step from an iterate is one bilinear power
+    step on G, which does not lower u^T G v (Cauchy-Schwarz); since
+    ||D_u M D_v||_{S_1} >= |u^T G v| for unit complex u, v, with equality
+    of the S_1 norm at |u|, |v|, the plain step's image has at least the
+    iterate's value. The first two iterates are u = 1/sqrt(m), v = 1/sqrt(n)
+    and its plain step. Every later trial point is the Anderson mix of the
+    plain-step images of the last ANDERSON_DEPTH accepted iterates, with
+    |u|, |v| normalized; a trial whose value does not exceed the last
+    accepted one is rejected, and the plain step of the last accepted
+    iterate is taken instead, so accepted values only rise. The
+    loop stops when an accepted value rises by at most `cfg.tol`
+    (relative) or after `cfg.max_iter` SVDs. Needs maxmod = max |M_kj| > 0.
 
     The same SVD factors M_kj = <x_k, y_j> with x_k = (U s^(1/2))_k / u_k
     and y_j = (s^(1/2) Vh)_j / v_j, taking x_k = 0 on a zero row of M and
     y_j = 0 on a zero column. That needs u_k > 0 on every nonzero row and
     v_j > 0 on every nonzero column; where it holds, Haagerup's
-    factorization theorem bounds the norm by max_k ||x_k|| * max_j ||y_j||.
-    The first iterate always certifies, and there the bound is the one of
-    the split M = (U s^(1/2)) (s^(1/2) Vh). At a stationary point every
-    ||x_k||^2 and ||y_j||^2 equals the S_1 value, so the bound meets it."""
+    factorization theorem bounds the norm by max_k ||x_k|| * max_j ||y_j||,
+    at rejected trials too. The first iterate always certifies, and there
+    the bound is the one of the split M = (U s^(1/2)) (s^(1/2) Vh). At a
+    stationary point every ||x_k||^2 and ||y_j||^2 equals the S_1 value, so
+    the bound meets it."""
     # the iterates of M / maxmod, whose entries have modulus <= 1, neither
     # underflow nor overflow; W does not depend on the scale of M
     A = M / maxmod
@@ -162,30 +209,37 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
     rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
     u = np.full(m, m**-0.5)
     v = np.full(n, n**-0.5)
-    value, W, upper = 0.0, np.zeros(M.shape), INF
-    for _ in range(cfg.max_iter):
+    value, W, W1, upper = 0.0, np.zeros(M.shape), None, INF
+    # the last accepted iterates, their plain-step images, and whether u, v
+    # is an Anderson trial
+    points, images, trial = [], [], False
+    for k in range(cfg.max_iter):
         U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
         s1 = float(s.sum())
-        if s1 > value:
-            W = U @ Vh
         ur, vc = u[rows], v[cols]
         if ur.min() > 0.0 and vc.min() > 0.0:
             x = np.sqrt((U * U.conj()).real @ s)[rows] / ur
             y = np.sqrt(s @ (Vh * Vh.conj()).real)[cols] / vc
             upper = min(upper, float(x.max() * y.max()))
+        if k == 1:
+            W1 = U @ Vh
+        if trial and s1 <= value:
+            (u, v), trial = images[-1], False
+            continue
+        if s1 > value:
+            W = W1 if k == 1 else U @ Vh
         if s1 <= value * (1.0 + cfg.tol):
             break
         value = s1
-        G = np.conj(W) * A
-        v = np.conj(G.T @ u)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
+        image = _power_step(np.conj(W) * A, u)
+        if image is None:
             break
-        u = np.conj(G @ v)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            break
-        u, v = np.abs(u) / nu, np.abs(v) / nv
+        points.append((u, v))
+        images.append(image)
+        del points[:-ANDERSON_DEPTH], images[:-ANDERSON_DEPTH]
+        mix = _anderson_mix(points, images) if len(images) >= 2 else None
+        (u, v), trial = (image, False) if mix is None else (mix, True)
+    W1 = W if W1 is None else W1
     # Outward rounding, so that rounding to nearest cannot leave the bound
     # below the norm. To first order the computed bound is off by r eps from
     # the two length-r = min(m, n) sums under the square roots (halved by
@@ -194,7 +248,7 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
     # and orthonormal to that accuracy, with p(m, n) a modest function of
     # m and n (LAPACK Users' Guide, 4.9), taken as max(m, n). That sum is
     # at most 5 max(m, n) eps; the factor 8 leaves room above it.
-    return np.conj(W), upper * maxmod * (1.0 + 8 * max(m, n) * np.finfo(float).eps)
+    return np.conj(W), np.conj(W1), upper * maxmod * (1.0 + 8 * max(m, n) * np.finfo(float).eps)
 
 
 def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
@@ -202,8 +256,10 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     (max modulus) for p=1 or q=inf; otherwise a certified lower bound: the
     largest ratio ||M o S|| / ||S|| over three deterministic witnesses,
     taken in this order and replaced only by a strictly larger ratio: the
-    max-modulus floor (the matrix unit at a largest entry), conj(W) from
-    `_s1_witness` and the Hilbert-type witness. At p=q=2 both norms of a
+    max-modulus floor (the matrix unit at a largest entry), then conj(W) and
+    conj(W_1) from `_s1_witness`, the polar factors of the alternation's
+    best and second iterates. On the staircases conj(W) wins at (2,4) and
+    the less converged conj(W_1) at (3,1.5). At p=q=2 both norms of a
     ratio are exact SVD norms, the conj(W) ratio is at least the S_1 value
     of the best iterate because ||W|| = 1, and the estimate's `upper` is the
     Haagerup bound of `_s1_witness` (0 for a zero mask). An exact estimate's
@@ -234,9 +290,9 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     exact = [p == 1.0 or q == INF for p, q in pairs]
     witnesses, upper = [], 0.0
     if maxmod > 0.0 and not all(exact):
-        conj_w, upper = _s1_witness(M, cfgs[0], maxmod)
+        conj_w, conj_w1, upper = _s1_witness(M, cfgs[0], maxmod)
         off = [pq for pq, e in zip(pairs, exact) if not e and pq != (2.0, 2.0)]
-        for S in (conj_w, hilbert_type_witness(*M.shape)):
+        for S in (conj_w, conj_w1):
             MS = M * S
             # (upper bound on ||S||, upper bound on ||M o S||) at each pair in off
             uppers = dict(zip(off, zip(opnorm_uppers(S, off), opnorm_uppers(MS, off))))

@@ -576,6 +576,30 @@ def test_truncation_growth_fits_unsorted_dims_in_their_own_order(monkeypatch):
     assert rows_to_csv(run_truncation_growth(cfg)) == rows_to_csv(rows)
 
 
+def test_truncation_growth_lower_rows_take_the_largest_value_at_every_smaller_n(monkeypatch):
+    # estimates that fall with n: each lower row at n reports the largest
+    # estimate of its pair at every m <= n, taken by size and not by the
+    # order of dims; exact rows, upper rows and the fits' dims order stay
+    fake = {(2.0, 4.0): {2: 1.3, 4: 1.1, 8: 1.2}, (2.0, 2.0): {2: 2.0, 4: 1.5, 8: 3.0}}
+    search = experiments.multiplier_norms
+
+    def falling(M, pairs, cfg):
+        ests = search(M, pairs, cfg)
+        return [replace(e, value=fake[pq][len(M)]) if pq in fake else e for pq, e in zip(pairs, ests)]
+
+    monkeypatch.setattr(experiments, "multiplier_norms", falling)
+    cfg = ExperimentConfig(seed=3, dims=[8, 2, 4], pq_pairs=[(2.0, 4.0), (1.0, 1.0), (2.0, 2.0)], trials=1)
+    rows = run_truncation_growth(cfg)
+    norms = {(r.p, r.q, r.n): r for r in rows if r.metric == "multiplier_norm"}
+    assert {n: norms[2.0, 4.0, n].value for n in cfg.dims} == {8: 1.3, 2: 1.3, 4: 1.3}
+    assert {n: norms[2.0, 2.0, n].value for n in cfg.dims} == {8: 3.0, 2: 2.0, 4: 2.0}
+    assert {norms[1.0, 1.0, n].certainty for n in cfg.dims} == {"exact"}
+    uppers = {r.n: r.value for r in rows if r.metric == "multiplier_norm_upper"}
+    assert uppers == {n: search(np.triu(np.ones((n, n))), [(2.0, 2.0)], cfg.search)[0].upper for n in cfg.dims}
+    slope = [r.value for r in rows if (r.p, r.q, r.metric) == (2.0, 2.0, "fit_slope")]
+    assert slope == [experiments._fit_log(cfg.dims, [3.0, 2.0, 2.0])[0]]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_truncation_growth_reports_the_largest_failing_n(monkeypatch, cpus):
     # n = 2 comes before n = 8 in dims, but n = 8 runs first

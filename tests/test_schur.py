@@ -225,17 +225,27 @@ def _pm1_mask(n):
     return np.sign(np.sin(1.3 * j[:, None] + 0.7 * j[None, :]))
 
 
-@pytest.mark.parametrize("p, q, n, value", [
+PINNED_VALUES = {
+    (2.0, 4.0, 8): "0x1.5a98e3e1dde26p+0",
+    (2.0, 4.0, 32): "0x1.312ccaaf66701p+0",
+    (3.0, 1.5, 8): "0x1.14a68c6367c61p+1",
+    (3.0, 1.5, 32): "0x1.4738788c32b2dp+1",
+}
+
+
+@pytest.mark.parametrize("p, q, n, floor", [
     (2.0, 4.0, 8, "0x1.5a98e3e11603ap+0"),
     (2.0, 4.0, 32, "0x1.312cc1b50571ap+0"),
     (3.0, 1.5, 8, "0x1.127b48a23b095p+1"),
     (3.0, 1.5, 32, "0x1.4583c699852cbp+1"),
 ])
-def test_multiplier_norm_pinned_values(p, q, n, value):
+def test_multiplier_norm_pinned_values(p, q, n, floor):
     # reruns must be byte-identical, so a change to the norm search must
-    # reproduce these
+    # reproduce the pins; `floor` is an earlier pin, and a lower bound must
+    # not fall below it
     est = multiplier_norm(_pm1_mask(n), p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
-    assert est.value == float.fromhex(value)
+    assert est.value == float.fromhex(PINNED_VALUES[p, q, n])
+    assert est.value >= float.fromhex(floor)
 
 
 # -------------------------------- truncation rows off (2,2), benchmark config
@@ -261,22 +271,40 @@ def _truncation_rows(seed):
 
 def test_truncation_rows_off_22_are_seed_free_and_monotone():
     # the norm on the n x n staircase is nondecreasing in n (the smaller
-    # staircase is a corner of the larger); no witness is random, and at 2
-    # restarts neither is any power-iteration start
+    # staircase is a corner of the larger), and so are the rows; no witness
+    # is random, and at 2 restarts neither is any power-iteration start
     values = {seed: {k: r.value for k, r in _truncation_rows(seed).items()} for seed in (20260803, 2777693619)}
     assert values[20260803] == values[2777693619]
-    rows = [values[20260803][3.0, 1.5, n] for n in TRUNCATION_DIMS]
-    assert all(b >= a for a, b in zip(rows, rows[1:]))
+    for p, q in [(2.0, 4.0), (3.0, 1.5)]:
+        rows = [values[20260803][p, q, n] for n in TRUNCATION_DIMS]
+        assert all(b >= a for a, b in zip(rows, rows[1:]))
+
+
+def _direct_estimate(seed, p, q, n):
+    """`multiplier_norm` on the n x n staircase with the search of the
+    truncation row at n."""
+    row = _truncation_rows(seed)[p, q, n]
+    return multiplier_norm(standard_truncation_mask(n, n, n), p, q, replace(_truncation_config(seed).search, seed=row.seed_used))
+
+
+def test_truncation_rows_are_the_largest_estimate_at_every_smaller_n():
+    # at (2,4) the estimate on the staircase alone falls from n = 16 on
+    # (1.024952 at n = 16, 1.024736 at n = 128); the row at n reports the
+    # largest one at every m <= n, certified by its zero-padded witness
+    seed = 20260803
+    direct = {n: _direct_estimate(seed, 2.0, 4.0, n).value for n in TRUNCATION_DIMS}
+    assert direct[128] < direct[16]
+    for n in TRUNCATION_DIMS:
+        assert _truncation_rows(seed)[2.0, 4.0, n].value == max(direct[m] for m in TRUNCATION_DIMS if m <= n)
 
 
 def test_truncation_witness_beats_the_floor_under_a_strong_search():
     # a ratio of two 2-start lower bounds can overestimate: the reported
     # witness must still beat the floor 1 when both norms are re-estimated
     seed, n = 20260803, 4
-    row = _truncation_rows(seed)[2.0, 4.0, n]
+    est = _direct_estimate(seed, 2.0, 4.0, n)
+    assert est.value == _truncation_rows(seed)[2.0, 4.0, n].value
     M = standard_truncation_mask(n, n, n)
-    est = multiplier_norm(M, 2, 4, replace(_truncation_config(seed).search, seed=row.seed_used))
-    assert est.value == row.value
     S = est.witness.reshape(M.shape)
     den, num = opnorms([S, M * S], 2, 4, STRONG_SEARCH)
     assert num.value / den.value >= 1.0
@@ -357,10 +385,9 @@ def test_multiplier_norm_value_reevaluates_from_witness_off_22(p, q):
         assert est.value >= np.abs(M).max()
 
 
-def test_s1_alternation_iterates_are_monotone(monkeypatch):
-    # every value sum(s) of an iterate's SVD, in order
-    values = []
-    svd = np.linalg.svd
+def _svd_values(monkeypatch) -> list:
+    """Record the value sum(s) of every S_1 iterate's SVD, in order."""
+    values, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
         out = svd(a, *args, **kwargs)
@@ -369,11 +396,116 @@ def test_s1_alternation_iterates_are_monotone(monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return values
+
+
+def test_s1_alternation_iterates_are_monotone(monkeypatch):
+    values = _svd_values(monkeypatch)
     for M in [standard_truncation_mask(32, 32, 32), *_complex_masks()]:
         values.clear()
         multiplier_norm(M, 2, 2, SearchConfig(max_iter=60))
         assert len(values) >= 2
         assert all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:]))
+
+
+def _plain_s1_alternation(M, cfg):
+    """The S_1 alternation with plain steps only, as `_s1_witness` ran
+    before its Anderson step: (conj(W), conj(W_1), upper, SVDs taken)."""
+    maxmod = float(np.abs(M).max())
+    A = M / maxmod
+    m, n = M.shape
+    rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
+    u, v = np.full(m, m**-0.5), np.full(n, n**-0.5)
+    value, W, W1, upper, svds = 0.0, np.zeros(M.shape), None, INF, 0
+    for _ in range(cfg.max_iter):
+        U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
+        svds += 1
+        s1 = float(s.sum())
+        if svds == 2:
+            W1 = U @ Vh
+        if s1 > value:
+            W = U @ Vh
+        ur, vc = u[rows], v[cols]
+        if ur.min() > 0.0 and vc.min() > 0.0:
+            x = np.sqrt((U * U.conj()).real @ s)[rows] / ur
+            y = np.sqrt(s @ (Vh * Vh.conj()).real)[cols] / vc
+            upper = min(upper, float(x.max() * y.max()))
+        if s1 <= value * (1.0 + cfg.tol):
+            break
+        value = s1
+        G = np.conj(W) * A
+        v = np.conj(G.T @ u)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        u = np.conj(G @ v)
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
+            break
+        u, v = np.abs(u) / nu, np.abs(v) / nv
+    upper *= maxmod * (1.0 + 8 * max(m, n) * np.finfo(float).eps)
+    return np.conj(W), np.conj(W if W1 is None else W1), upper, svds
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_staircase_bracket(n):
+    """(lower, upper, SVDs) of the plain alternation on the n x n staircase
+    at the default search, the lower one over the floor, conj(W) and the
+    Hilbert-type witness."""
+    M = standard_truncation_mask(n, n, n)
+    conj_w, _, upper, svds = _plain_s1_alternation(M, SearchConfig())
+    lower = max(1.0, *(_svd_norm(M * S) / _svd_norm(S) for S in (conj_w, hilbert_type_witness(n, n))))
+    return lower, upper, svds
+
+
+def test_s1_alternation_brackets_the_staircases_at_least_as_tightly_as_the_plain_loop():
+    for n in TRUNCATION_DIMS:
+        lower, upper, _ = _plain_staircase_bracket(n)
+        est = multiplier_norm(standard_truncation_mask(n, n, n), 2, 2)
+        assert est.value >= lower
+        assert est.upper <= upper
+
+
+def test_s1_alternation_takes_at_most_20_svds_at_n128(monkeypatch):
+    values = _svd_values(monkeypatch)
+    multiplier_norm(standard_truncation_mask(128, 128, 128), 2, 2)
+    assert len(values) <= 20
+    assert _plain_staircase_bracket(128)[2] == 36
+
+
+def test_s1_alternation_second_iterate_is_the_plain_loops():
+    cfg = SearchConfig()
+    for M in [*(standard_truncation_mask(n, n, n) for n in (2, 8, 32)), *_complex_masks()]:
+        conj_w1 = schur._s1_witness(M, cfg, float(np.abs(M).max()))[1]
+        assert conj_w1.tobytes() == _plain_s1_alternation(M, cfg)[1].tobytes()
+
+
+def _abs_mask16():
+    """The |t| divided-difference mask of 16 uniform points on [-1, 1] each
+    side (seed 0)."""
+    rng = np.random.default_rng(0)
+    return schur.abs_divided_difference(rng.uniform(-1.0, 1.0, 16), rng.uniform(-1.0, 1.0, 16))
+
+
+def test_s1_alternation_rejects_trials_that_do_not_rise(monkeypatch):
+    # on this |t| mask some Anderson trials fall below the last accepted
+    # value; the loop goes on from each with the plain step from that
+    # iterate, whose value is at least that one
+    M = _abs_mask16()
+    values = _svd_values(monkeypatch)
+    est = multiplier_norm(M, 2, 2, SearchConfig(max_iter=60))
+    assert len(values) == 60
+    best, rejected = values[0], []
+    for k, s1 in enumerate(values[1:-1], 1):
+        if s1 <= best:
+            rejected.append(k)
+        best = max(best, s1)
+    assert len(rejected) >= 2
+    for k in rejected:
+        assert values[k + 1] >= max(values[:k]) * (1.0 - 1e-12)
+        assert k + 1 not in rejected
+    assert est.value >= max(values) * np.abs(M).max() * (1.0 - 1e-12)
+    assert est.upper >= est.value
 
 
 def test_s1_alternation_complex_non_square_masks():
@@ -574,14 +706,14 @@ def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
 
 def _unpruned_multiplier_norm(M, p, q, cfg):
     """`multiplier_norm` off (2,2) with every witness's numerator searched:
-    the floor, then conj(W) and the Hilbert-type witness, each replaced
-    only by a strictly larger ratio of an `opnorms` numerator over
-    `opnorm_upper` of the witness."""
+    the floor, then conj(W) and conj(W_1), each replaced only by a strictly
+    larger ratio of an `opnorms` numerator over `opnorm_upper` of the
+    witness."""
     maxmod = float(np.abs(M).max())
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     best_value, best_witness = maxmod, np.zeros(M.shape, dtype=complex)
     best_witness[kj] = 1.0
-    cands = [schur._s1_witness(M, cfg, maxmod)[0], hilbert_type_witness(*M.shape)]
+    cands = schur._s1_witness(M, cfg, maxmod)[:2]
     for S, num in zip(cands, opnorms([M * S for S in cands], p, q, cfg)):
         den = opnorm_upper(S, p, q)
         r = num.value / den if den > 0.0 else 0.0
@@ -620,9 +752,8 @@ def test_multiplier_norms_takes_one_value_svd_per_witness_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     ests = multiplier_norms(M, pairs, cfg)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    W = schur._s1_witness(M, cfg, 1.0)[0]
-    H = hilbert_type_witness(16, 16).astype(complex)
-    mats = [W, M * W, H, M * H]
+    W, W1 = schur._s1_witness(M, cfg, 1.0)[:2]
+    mats = [W, M * W, W1, M * W1]
     assert [[np.array_equal(a, S) for S in mats] for a in taken] == np.eye(4, dtype=bool).tolist()
     ref = multiplier_norm(M, 2.0, 2.0, cfg)
     assert (ests[0].value, ests[0].upper) == (ref.value, ref.upper)
@@ -647,34 +778,37 @@ def _counting_opnorm(monkeypatch) -> list:
 def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_best_ratio(monkeypatch):
     pairs = [(2.0, 4.0), (3.0, 1.5)]
     cfg = SearchConfig(multistarts=2)
-    # at n = 8 the Hilbert-type witness's ratio of upper bounds is below
-    # the floor 1 at both pairs; conj(W) is searched at both
+    # on the n = 8 staircase both witnesses' ratios of upper bounds beat
+    # the floor 1 and conj(W)'s certified ratio, so all four are searched
     mats = _counting_opnorm(monkeypatch)
     multiplier_norms(standard_truncation_mask(8, 8, 8), pairs, cfg)
-    assert len(mats) == 2
-    # at n = 32 and (3,1.5) it passes the floor (1.148) but not conj(W)'s
-    # certified ratio (1.870), so again only conj(W) is searched
+    assert len(mats) == 4
+    # on this |t| mask at (2,4), conj(W)'s certified ratio (1.097) beats the
+    # floor, and conj(W_1)'s ratio of upper bounds (1.072) is below it, so
+    # only conj(W) is searched
     mats.clear()
-    M = standard_truncation_mask(32, 32, 32)
-    ests = multiplier_norms(M, pairs, cfg)
-    H = hilbert_type_witness(32, 32)
-    hilbert = opnorm_upper(M * H, 3.0, 1.5) / opnorm_upper(H, 3.0, 1.5)
-    assert 1.0 < hilbert < ests[1].value
-    assert hilbert == pytest.approx(1.148, abs=1e-3) and ests[1].value == pytest.approx(1.870, abs=1e-3)
-    assert len(mats) == 2
-    W = schur._s1_witness(M, cfg, 1.0)[0]
-    assert all(e.witness.tobytes() == W.tobytes() for e in ests)
+    M = _abs_mask16()
+    [est] = multiplier_norms(M, pairs[:1], cfg)
+    W, W1 = schur._s1_witness(M, cfg, float(np.abs(M).max()))[:2]
+    bound = opnorm_upper(M * W1, 2.0, 4.0) / opnorm_upper(W1, 2.0, 4.0)
+    assert 1.0 < bound < est.value
+    assert bound == pytest.approx(1.072, abs=1e-3) and est.value == pytest.approx(1.097, abs=1e-3)
+    assert len(mats) == 1 and mats[0].tobytes() == (M * W).tobytes()
+    value, witness = _unpruned_multiplier_norm(M, 2.0, 4.0, cfg)
+    assert (est.value, est.witness.tobytes()) == (value, witness.tobytes())
 
 
-def test_multiplier_norms_prunes_the_hilbert_numerator_at_24_and_n128(monkeypatch):
-    # opnorm_upper's (1,1)-(pt,inf) segment puts the Hilbert-type witness's
-    # ratio of upper bounds (1.0117) below conj(W)'s certified ratio
-    # (1.0247), so only conj(W)'s numerator is searched
-    n = 128
-    mats = _counting_opnorm(monkeypatch)
-    M = standard_truncation_mask(n, n, n)
-    [est] = multiplier_norms(M, [(2.0, 4.0)], SearchConfig(multistarts=2))
-    H = hilbert_type_witness(n, n)
-    hilbert = opnorm_upper(M * H, 2.0, 4.0) / opnorm_upper(H, 2.0, 4.0)
-    assert hilbert == pytest.approx(1.0117, abs=1e-4) and est.value == pytest.approx(1.0247, abs=1e-4)
-    assert len(mats) == 1
+def test_multiplier_norms_conj_w1_wins_at_3_15_and_conj_w_at_2_4():
+    # the better-converged conj(W) wins at (2,4), and conj(W_1) at (3,1.5):
+    # at n = 32 its ratio is 1.8733, against 1.8698 for conj(W)
+    cfg = SearchConfig(multistarts=2)
+    for n in (8, 32):
+        M = standard_truncation_mask(n, n, n)
+        W, W1 = schur._s1_witness(M, cfg, 1.0)[:2]
+        ests = multiplier_norms(M, [(2.0, 4.0), (3.0, 1.5)], cfg)
+        assert ests[0].witness.tobytes() == W.tobytes()
+        assert ests[1].witness.tobytes() == W1.tobytes()
+    [den_w, den_w1] = [opnorm_upper(S, 3.0, 1.5) for S in (W, W1)]
+    [num_w, num_w1] = opnorms([M * W, M * W1], 3.0, 1.5, cfg)
+    assert ests[1].value == num_w1.value / den_w1 == pytest.approx(1.8733, abs=1e-4)
+    assert num_w.value / den_w == pytest.approx(1.8698, abs=1e-4)
