@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorms
+from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorm_uppers, opnorms
 from .schur import abs_divided_difference, multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import commutator_transform
@@ -397,13 +397,18 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
         searches = [t.search for t in trials]
         m1s = opnorms(mids, 2.0, 2.0 - MIXED_EPS, searches)
         m2s = opnorms(mids, 2.0 + MIXED_EPS, 2.0, searches)
-        for t, lhs_t, m1, m2 in zip(trials, lhs, m1s, m2s):
+        for t, lhs_t, mid, m1, m2 in zip(trials, lhs, mids, m1s, m2s):
             best = min(m1.value, m2.value)
             implied = lhs_t.value / best if best > 1e-14 else math.inf
+            # any C with lhs <= C min(mixed norms) is at least the exact lhs
+            # over the smaller certified upper bound on a mixed norm
+            upper = min(opnorm_uppers(mid, [(2.0, 2.0 - MIXED_EPS), (2.0 + MIXED_EPS, 2.0)]))
+            implied_lower = lhs_t.value / upper if upper > 1e-14 else math.inf
             rows.append(t.row("lhs_norm", lhs_t.value, lhs_t.certainty))
             rows.append(t.row("mixed_2_to_2meps", m1.value, m1.certainty))
             rows.append(t.row("mixed_2peps_to_2", m2.value, m2.certainty))
             rows.append(t.row("implied_constant", implied, "derived"))
+            rows.append(t.row("implied_constant_lower", implied_lower, LOWER_BOUND))
     return _sort_rows(rows)
 
 

@@ -170,27 +170,18 @@ def dual_map(v, r) -> np.ndarray:
     return _dual_rows(v, np.abs(v), r)[0]
 
 
-def _matvecs(ops, own, v) -> np.ndarray:
-    """Row i of the result is ops[own[i]] @ v[i]. Each run of consecutive
-    rows with one owner is one batched matvec (a stack of gemv calls), which
-    rounds as the single matvec of each row does; v @ S.T would be a GEMM
-    and differ in the last bits. The runs are found in Python, which is
-    faster than numpy calls on the short owner lists of most blocks."""
-    out = np.empty((len(own), ops[0].shape[0]), dtype=complex)
-    own = own.tolist()
-    lo = 0
-    for hi in range(1, len(own) + 1):
-        if hi == len(own) or own[hi] != own[lo]:
-            out[lo:hi] = np.matmul(ops[own[lo]], v[lo:hi, :, None])[..., 0]
-            lo = hi
-    return out
+def _matvecs(ops, v) -> np.ndarray:
+    """Row i of the result is ops[i] @ v[i], or ops @ v[i] for one matrix
+    ops: a stack of gemv calls, which rounds as the single matvec of each
+    row does; v @ S.T would be a GEMM and differ in the last bits."""
+    return np.matmul(ops, v[:, :, None])[..., 0]
 
 
 def _power_block(mats, owner, x0, p, q, tol, max_iter):
     """Alternating maximization of ||S x||_q over the unit p-ball for a
     (k, n) block of starts x0, row r iterating with S = mats[owner[r]].
 
-    The matvecs of each matrix's active rows run batched, and every
+    The matvecs of the active rows run as one batched matmul, and every
     elementwise step runs once on the rows still active. A row leaves at
     the iteration where its own objective stops rising, so each row
     follows exactly the path that a single-start iteration from it would.
@@ -206,26 +197,29 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
     owner = np.asarray(owner)
     zero = np.array([not np.any(S) for S in mats])[owner]
     labels[zero] = "power_iteration:zero_matrix"
-    adj = [S.T for S in mats]
     # the active rows: their indices, their best iterates x with values val,
-    # and y = S x with moduli a
+    # y = S x with moduli a, and the matrices ops, one per row where the
+    # block holds several (a gathered copy is slower for one matrix)
     act = np.flatnonzero(~zero)
+    ops = np.stack(mats)[owner[act]] if len(mats) > 1 else mats[0]
     x = best_x[act]
-    y = _matvecs(mats, owner[act], x)
+    y = _matvecs(ops, x)
     a = np.abs(y)
     val = _row_norms(a, q)
     for _ in range(max_iter):
         if act.size == 0:
             break
-        z = _matvecs(adj, owner[act], _dual_rows(y, a, q))
+        z = _matvecs(ops.swapaxes(-1, -2), _dual_rows(y, a, q))
         xd = _dual_rows(z, np.abs(z), pstar)
         nn = _row_norms(np.abs(xd), p)
         if not nn.all():
             out = nn == 0.0
             best[act[out]], best_x[act[out]] = val[out], x[out]
             act, x, val, xd, nn = act[~out], x[~out], val[~out], xd[~out], nn[~out]
+            if ops.ndim == 3:
+                ops = ops[~out]
         x_new = xd / nn[:, None]
-        y = _matvecs(mats, owner[act], x_new)
+        y = _matvecs(ops, x_new)
         a = np.abs(y)
         val_new = _row_norms(a, q)
         # alternating maximization cannot decrease; a drop is numerical
@@ -239,6 +233,8 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
             out = ~stay
             best[act[out]], best_x[act[out]] = val[out], x[out]
             act, x, val, y, a = act[stay], x[stay], val[stay], y[stay], a[stay]
+            if ops.ndim == 3:
+                ops = ops[stay]
     else:
         labels[act] = "power_iteration:max_iter"
     best[act], best_x[act] = val, x

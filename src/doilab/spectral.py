@@ -32,10 +32,8 @@ EXHAUSTIVE_CAP = 12
 # `opnorms` block; the block's matrices are held at once, so the size
 # bounds peak memory
 _SUBSET_BLOCK = 64
-# Interior-p K: the temperature of the log-sum-exp that smooths each max in
-# the bound `_lbfgs` minimizes, `_lbfgs`'s stopping tolerances, the number
-# of (s, y) pairs it keeps, and the halvings after which a line search gives up
-_SMOOTHING = 0.01
+# K at p = 2: `_lbfgs`'s stopping tolerances, the number of (s, y) pairs it
+# keeps, and the halvings after which a line search gives up
 _FTOL = 5e-5
 _GTOL = 1e-6
 _MEMORY = 10
@@ -192,52 +190,17 @@ def _scaling_argument(logd: np.ndarray) -> str:
     return f"diagonal scaling exp({json.dumps(logd.tolist())})"
 
 
-def _smooth_max(z: np.ndarray) -> tuple:
-    """The log-sum-exp upper bound on max(z) at temperature _SMOOTHING, and
-    its gradient in z."""
-    z = z / _SMOOTHING
-    top = z.max()
-    e = np.exp(z - top)
-    total = e.sum()
-    return _SMOOTHING * (top + math.log(total)), e / total
-
-
-def _smoothed_log_bound(op: DiagonalizableOperator, p: float):
-    """x -> (value, gradient) of the log of the bound that
-    `_diag_scaling_objective` scores at log d = t = (0, x), each max in it
-    smoothed by `_smooth_max`; the bound does not change under D -> cD, so
-    t_0 is held at 0.
-
-    At p <= 2 the bound on ||DW|| ||W^{-1}D^{-1}||, with W = U, is
-    (||DW||_1 ||W^{-1}D^{-1}||_1)^c (||DW||_2 ||W^{-1}D^{-1}||_2)^(1-c) for
-    c = 2/p - 1. At p > 2 it is the same at p* for W = U^{-T} and D^{-1},
-    as ||M||_p = ||M^T||_{p*}.
-    """
-    w, w_inv, sign = (op.u, op.u_inv, 1.0) if p <= 2.0 else (op.u_inv.T, op.u.T, -1.0)
-    c = abs(2.0 / p - 1.0)
-    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a sum
-        log_abs_w = np.log(np.abs(w))
-    log_inv_cols = np.log(np.abs(w_inv).sum(axis=0))
+def _log_condition(op: DiagonalizableOperator):
+    """x -> (value, gradient) of log(||DU||_2 ||U^{-1}D^{-1}||_2), the log
+    of what `_diag_scaling_objective` scores at p = 2, at log d = t = (0, x);
+    it does not change under D -> cD, so t_0 is held at 0."""
 
     def f(x):
-        t = sign * np.concatenate(([0.0], x))
-        # ||W^{-1}D^{-1}||_2 = 1 / sigma_min(DW), so one SVD gives both
+        t = np.concatenate(([0.0], x))
+        # ||U^{-1}D^{-1}||_2 = 1 / sigma_min(DU), so one SVD gives both
         # 2-norms, and d log sigma / dt_i = |y_i|^2 for its left vector y
-        y, s, _ = np.linalg.svd(np.exp(t - t.max())[:, None] * w)
-        value = (1.0 - c) * math.log(s[0] / s[-1])
-        grad = (1.0 - c) * (np.abs(y[:, 0]) ** 2 - np.abs(y[:, -1]) ** 2)
-        if c:
-            # column j of |DW| sums to the log-sum-exp of t_i + log|w_ij|
-            terms = t[:, None] + log_abs_w
-            top = terms.max(axis=0)
-            e = np.exp(terms - top)
-            sums = e.sum(axis=0)
-            m1, g1 = _smooth_max(top + np.log(sums))
-            # and column j of |W^{-1}D^{-1}| to e^{-t_j} times that of |W^{-1}|
-            m2, g2 = _smooth_max(log_inv_cols - t)
-            value += c * (m1 + m2)
-            grad += c * (e @ (g1 / sums) - g2)
-        return value, sign * grad[1:]
+        y, s, _ = np.linalg.svd(np.exp(t - t.max())[:, None] * op.u)
+        return math.log(s[0] / s[-1]), (np.abs(y[:, 0]) ** 2 - np.abs(y[:, -1]) ** 2)[1:]
 
     return f
 
@@ -288,19 +251,26 @@ def _lbfgs(fg, x0: np.ndarray) -> np.ndarray:
 
 
 def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimate:
-    """The infimum over positive diagonal rescalings D of U of
+    """The infimum K_p over positive diagonal rescalings D of U of
     ||DU|| ||U^{-1}D^{-1}|| on l_p, clipped below at 1.
 
     At p in {1, inf} this is the closed form || |U^{-1}||U| ||_p, attained
     at the scaling of `_endpoint_scaling`, and the result is exact; so is
-    K = 1 at n = 1. At other p, the log of the interpolation bound
-    `opnorm_upper(DU) opnorm_upper(U^{-1}D^{-1})` is convex in log D (Braatz
-    and Morari, SIAM J. Control Optim. 32, 1994). `_lbfgs`, a numpy L-BFGS,
-    minimizes it, with each max over columns or rows smoothed, from the
-    better of two starts: no scaling, and the row equilibration of U. The
-    point where it stops is scored with the exact bound, and the
-    best-scoring of it and the starts is returned. Its scaling, in
-    `argument`, is the certificate of the result, an upper bound.
+    K = 1 at n = 1. At p = 2, log(||DU||_2 ||U^{-1}D^{-1}||_2) is convex in
+    log D (Braatz and Morari, SIAM J. Control Optim. 32, 1994). `_lbfgs`, a
+    numpy L-BFGS, minimizes it from the better of two starts: no scaling,
+    and the row equilibration of U. The best-scoring of the point where it
+    stops and the starts is returned, an upper bound whose scaling, in
+    `argument`, is its certificate.
+
+    At other p, K_p <= K_e^theta K_2^(1-theta), with e = 1 at p < 2,
+    e = inf at p > 2 and theta = |2/p - 1|, so that 1/p = theta/e +
+    (1-theta)/2 (Stein, "Interpolation of linear operators", Trans. AMS 83,
+    1956): for the scalings D_e and D_2 of the two endpoint results, take
+    the analytic family D_e^z D_2^(1-z) U and its inverse. On the lines
+    Re z = 0 and 1 the extra factor is a unimodular diagonal, an isometry
+    of every l_p, so at z = theta the scaling D_e^theta D_2^(1-theta) gives
+    the bound. `argument` holds theta and both endpoint certificates.
     """
     p = check_exponent(p)
     if p == 1.0 or p == INF:
@@ -309,11 +279,20 @@ def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimat
         return ConstantEstimate(max(value, 1.0), EXACT, _scaling_argument(logd))
     if op.n == 1:
         return ConstantEstimate(1.0, EXACT, _scaling_argument(np.zeros(1)))
+    if p != 2.0:
+        e = 1.0 if p < 2.0 else INF
+        theta = abs(2.0 / p - 1.0)
+        k_e, k_2 = diagonalizability_constant(op, e), diagonalizability_constant(op, 2.0)
+        return ConstantEstimate(
+            k_e.value**theta * k_2.value ** (1.0 - theta),
+            UPPER_BOUND,
+            f"interpolation theta {json.dumps(theta)}; p = {e:g}: {k_e.argument}; p = 2: {k_2.argument}",
+        )
     # U is invertible, so no row of |U| is zero
     points = [np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))]
     scores = [_diag_scaling_objective(op, logd, p) for logd in points]
     start = points[int(np.argmin(scores))]
-    x = _lbfgs(_smoothed_log_bound(op, p), (start - start[0])[1:])
+    x = _lbfgs(_log_condition(op), (start - start[0])[1:])
     points.append(np.concatenate(([0.0], x)))
     scores.append(_diag_scaling_objective(op, points[-1], p))
     best = int(np.argmin(scores))

@@ -35,7 +35,7 @@ from doilab.experiments import (
     _trial_seed,
     _worker_count,
 )
-from doilab.norms import INF, opnorm
+from doilab.norms import INF, opnorm, opnorm_upper
 from doilab.spectral import DiagonalizableOperator, assemble
 
 SMALL = ExperimentConfig(seed=7, dims=[2, 3], pq_pairs=[(1.0, 2.0), (2.0, 2.0)], trials=2)
@@ -194,7 +194,20 @@ def test_p2q2_mixed_metrics_present():
     cfg = ExperimentConfig(seed=4, dims=[3], pq_pairs=[(2.0, 2.0)], trials=2)
     rows = run_p2q2_mixed(cfg)
     metrics = {r.metric for r in rows}
-    assert metrics == {"lhs_norm", "mixed_2_to_2meps", "mixed_2peps_to_2", "implied_constant"}
+    assert metrics == {"lhs_norm", "mixed_2_to_2meps", "mixed_2peps_to_2", "implied_constant", "implied_constant_lower"}
+
+
+def test_p2q2_mixed_certified_constant_is_below_the_derived_one():
+    cfg = ExperimentConfig(seed=6, dims=[2, 4, 8, 16], pq_pairs=[(2.0, 2.0)], trials=5)
+    rows = run_p2q2_mixed(cfg)
+    by_trial = {}
+    for r in rows:
+        by_trial.setdefault((r.n, r.trial), {})[r.metric] = r
+    assert len(by_trial) == 20
+    for metrics in by_trial.values():
+        lower, derived = metrics["implied_constant_lower"], metrics["implied_constant"]
+        assert lower.certainty == "lower_bound" and derived.certainty == "derived"
+        assert 0.0 < lower.value <= derived.value
 
 
 def _p2q2_mixed_one_trial_at_a_time(cfg):
@@ -219,6 +232,8 @@ def _p2q2_mixed_one_trial_at_a_time(cfg):
         rows.append(t.row("mixed_2_to_2meps", m1.value, m1.certainty))
         rows.append(t.row("mixed_2peps_to_2", m2.value, m2.certainty))
         rows.append(t.row("implied_constant", lhs.value / best if best > 1e-14 else math.inf, "derived"))
+        upper = min(opnorm_upper(mid, 2.0, 2.0 - experiments.MIXED_EPS), opnorm_upper(mid, 2.0 + experiments.MIXED_EPS, 2.0))
+        rows.append(t.row("implied_constant_lower", lhs.value / upper if upper > 1e-14 else math.inf, "lower_bound"))
     return experiments._sort_rows(rows)
 
 
@@ -228,7 +243,7 @@ def test_p2q2_mixed_batched_trials_equal_one_trial_at_a_time():
     cfg = ExperimentConfig(seed=21, dims=[2, 4, 8, 16], pq_pairs=[(2.0, 2.0)], trials=3)
     batched = rows_to_csv(run_p2q2_mixed(cfg))
     assert batched == rows_to_csv(_p2q2_mixed_one_trial_at_a_time(cfg))
-    assert batched.count("lower_bound") == 24  # 4 dims x 3 trials x 2 mixed norms
+    assert batched.count("lower_bound") == 36  # 4 dims x 3 trials x (2 mixed norms + the certified constant)
     # trial 0 does not see the trials batched with it
     trial0 = [r for r in run_p2q2_mixed(cfg) if r.trial == 0]
     assert rows_to_csv(trial0) == rows_to_csv(run_p2q2_mixed(replace(cfg, trials=1)))

@@ -400,15 +400,21 @@ def test_power_block_rows_with_different_matrices():
 
 
 def test_matvecs_equal_one_matvec_per_row():
+    # a gathered stack of matrices and its transposed view, as a block of
+    # several matrices uses them, and one matrix broadcast over the rows
     rng = np.random.default_rng(5)
-    mats = [_kernel_cases(3)[1], rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))]
+    mats = [
+        np.asarray(_kernel_cases(3)[1], dtype=complex),
+        rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)),
+    ]
     own = np.array([0, 0, 1, 1, 1, 0, 1, 0, 0])
-    for ops, n in ((mats, 6), ([S.T for S in mats], 3)):
+    stack = np.stack(mats)[own]
+    for ops, n in ((stack, 6), (stack.swapaxes(-1, -2), 3), (mats[1], 6), (mats[1].T, 3)):
         v = rng.standard_normal((len(own), n)) + 1j * rng.standard_normal((len(own), n))
-        out = norms._matvecs(ops, own, v)
-        ref = np.array([ops[r] @ v[i] for i, r in enumerate(own)])
+        out = norms._matvecs(ops, v)
+        ref = np.array([(ops[i] if ops.ndim == 3 else ops) @ v[i] for i in range(len(own))])
         assert out.tobytes() == ref.tobytes()
-        assert norms._matvecs(ops, own[:0], v[:0]).shape == (0, ops[0].shape[0])
+        assert norms._matvecs(ops[:0] if ops.ndim == 3 else ops, v[:0]).shape == (0, ops.shape[-2])
 
 
 @pytest.mark.parametrize("multistarts, max_iter", [(1, 300), (5, 300), (12, 300), (8, 4)])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from doilab.spectral import (
     _diag_scaling_objective,
     _endpoint_scaling,
     _lbfgs,
-    _smoothed_log_bound,
+    _log_condition,
     assemble,
     diagonalizability_constant,
     functional_calculus,
@@ -276,9 +277,23 @@ def test_k_endpoint_closed_form_is_optimal(seed, p):
     assert spectral_constant(op, p).value <= est.value + 1e-9
 
 
-# K from `_lbfgs`; each is at most old_pin, the value of the coordinate
-# descent that preceded it
-SOLVER_PINS = {21: 18.965676312778747, 22: 18.29226008297023, 23: 5.204857544059306}
+def _scalings(argument):
+    """The log d of every diagonal scaling in a K certificate, in order."""
+    return [np.array(json.loads(s)) for s in re.findall(r"exp\((\[.*?\])\)", argument)]
+
+
+def _starts(op):
+    """The two starts of the p = 2 solve: no scaling, and the row
+    equilibration of U."""
+    return [np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))]
+
+
+# K at interior p != 2 interpolates the exact endpoint K and the p = 2 L-BFGS
+# solve; each is at most LBFGS_PINS, the L-BFGS on the interpolation
+# objective at p that preceded it, and at most old_pin, the coordinate
+# descent before that. At p = 2 nothing changed.
+SOLVER_PINS = {21: 18.043305075820886, 22: 18.083516612170577, 23: 5.204857544059306}
+LBFGS_PINS = {21: 18.965676312778747, 22: 18.29226008297023, 23: 5.204857544059306}
 
 
 @pytest.mark.parametrize("seed,p,old_pin", [
@@ -288,14 +303,39 @@ def test_k_interior_descent_values_pinned(seed, p, old_pin):
     est = diagonalizability_constant(random_operator(seed, n=6, delta=0.4), p)
     assert est.certainty == "upper_bound"
     assert est.value == pytest.approx(SOLVER_PINS[seed], rel=1e-12)
+    assert est.value <= LBFGS_PINS[seed]
     assert est.value <= old_pin
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_k_smoothed_log_bound_gradient_matches_central_differences(p):
-    op = random_operator(31, n=5, delta=0.4)
-    f = _smoothed_log_bound(op, p)
-    rng = np.random.default_rng(32)
+@pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_k_interior_is_the_interpolation_of_the_endpoint_and_p2(seed, p):
+    op = random_operator(50 + seed, n=6, delta=0.5)
+    k_e = diagonalizability_constant(op, 1.0 if p < 2.0 else INF).value
+    k_2 = diagonalizability_constant(op, 2.0).value
+    theta = abs(2.0 / p - 1.0)
+    est = diagonalizability_constant(op, p)
+    assert est.certainty == "upper_bound"
+    assert est.value == k_e**theta * k_2 ** (1.0 - theta)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_k_interior_is_at_most_the_p_objective_at_the_p2_scalings(seed, p):
+    # each p objective is at least K_e^theta (||DU||_2 ||U^{-1}D^{-1}||_2)^(1-theta),
+    # and the p = 2 solve ends no higher than either start
+    op = random_operator(60 + seed, n=6, delta=0.5)
+    [logd_2] = _scalings(diagonalizability_constant(op, 2.0).argument)
+    k = diagonalizability_constant(op, p).value
+    for logd in (*_starts(op), logd_2):
+        assert k <= _diag_scaling_objective(op, logd, p) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [31, 41, 51])
+def test_k_log_condition_gradient_matches_central_differences(seed):
+    op = random_operator(seed, n=5, delta=0.4)
+    f = _log_condition(op)
+    rng = np.random.default_rng(seed + 1)
     for _ in range(3):
         x = 0.3 * rng.standard_normal(op.n - 1)
         _, grad = f(x)
@@ -327,11 +367,20 @@ def test_lbfgs_reaches_gradient_tolerance_on_convex_quadratic(monkeypatch, m):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("seed", range(4))
-def test_lbfgs_never_ends_above_its_start(seed, p):
+def test_lbfgs_never_ends_above_its_start(monkeypatch, seed, p):
+    # K at every interior p runs one L-BFGS, on the p = 2 objective
     op = random_operator(40 + seed, n=6, delta=0.6)
-    f = _smoothed_log_bound(op, p)
-    x0 = np.random.default_rng(seed).standard_normal(op.n - 1)
-    assert f(_lbfgs(f, x0))[0] <= f(x0)[0]
+    runs = []
+
+    def recorded(fg, x0):
+        runs.append((fg, x0, _lbfgs(fg, x0)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(spectral, "_lbfgs", recorded)
+    diagonalizability_constant(op, p)
+    [(f, x0, x)] = runs
+    assert f(x)[0] <= f(x0)[0]
+    assert f(x0)[0] == _log_condition(op)(x0)[0]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -339,11 +388,29 @@ def test_lbfgs_never_ends_above_its_start(seed, p):
 def test_k_interior_argument_rescores_to_value(seed, p):
     op = random_operator(seed, n=7, delta=0.5)
     est = diagonalizability_constant(op, p)
-    logd = np.array(json.loads(est.argument.removeprefix("diagonal scaling exp(").removesuffix(")")))
-    # the argument holds log d at full precision, so it rescores to K exactly
-    assert max(_diag_scaling_objective(op, logd, p), 1.0) == est.value
-    for start in (np.zeros(op.n), -np.log(np.abs(op.u).max(axis=1))):
-        assert est.value <= _diag_scaling_objective(op, start, p)
+    k_2 = diagonalizability_constant(op, 2.0)
+    # the certificate's last scaling is the p = 2 one, held at full
+    # precision, so it rescores to K_2 exactly
+    logd_2 = _scalings(est.argument)[-1]
+    assert max(_diag_scaling_objective(op, logd_2, 2.0), 1.0) == k_2.value
+    for start in _starts(op):
+        assert k_2.value <= _diag_scaling_objective(op, start, 2.0)
+    if p == 2.0:
+        assert (est.value, est.argument) == (k_2.value, k_2.argument)
+        return
+    e = 1.0 if p < 2.0 else INF
+    theta = abs(2.0 / p - 1.0)
+    k_e = diagonalizability_constant(op, e)
+    assert est.argument == f"interpolation theta {json.dumps(theta)}; p = {e:g}: {k_e.argument}; p = 2: {k_2.argument}"
+    logd_e = _scalings(est.argument)[0]
+    assert _diag_scaling_objective(op, logd_e, e) == pytest.approx(k_e.value, rel=1e-12)
+    # Stein: at the interpolated scaling the product of the two l_p norms
+    # is at most K; power iteration bounds it from below
+    logd = theta * logd_e + (1.0 - theta) * logd_2
+    d = np.exp(logd - logd.max())
+    cfg = SearchConfig(multistarts=16)
+    product = opnorm(d[:, None] * op.u, p, p, cfg).value * opnorm(op.u_inv / d[None, :], p, p, cfg).value
+    assert product <= est.value * (1 + 1e-9)
 
 
 def test_k_interior_dimension_one_skips_the_solver(monkeypatch):
