@@ -21,6 +21,9 @@ INF = math.inf
 _LEAST = 5e-324
 _NORMAL = 2.0**-1022
 
+# a search stops once its value rises by less than SEARCH_TOL (relative)
+SEARCH_TOL = 1e-10
+
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 UPPER_BOUND = "upper_bound"
@@ -108,7 +111,6 @@ class SearchConfig:
 
     multistarts: int = 32
     max_iter: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
     def rng(self, *salt) -> np.random.Generator:
@@ -177,7 +179,7 @@ def _matvecs(ops, v) -> np.ndarray:
     return np.matmul(ops, v[:, :, None])[..., 0]
 
 
-def _power_block(mats, owner, x0, p, q, tol, max_iter):
+def _power_block(mats, owner, x0, p, q, max_iter):
     """Alternating maximization of ||S x||_q over the unit p-ball for a
     (k, n) block of starts x0, row r iterating with S = mats[owner[r]].
 
@@ -225,7 +227,7 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
         # alternating maximization cannot decrease; a drop is numerical
         # noise, and the row keeps its previous iterate
         up = val_new >= val
-        stay = up & ~(val_new - val < tol * np.maximum(val_new, 1e-300))
+        stay = up & ~(val_new - val < SEARCH_TOL * np.maximum(val_new, 1e-300))
         if stay.all():
             x, val = x_new, val_new
         else:
@@ -241,7 +243,7 @@ def _power_block(mats, owner, x0, p, q, tol, max_iter):
     return best.tolist(), list(best_x), labels.tolist()
 
 
-def power_iteration_pq(S, p, q, x0, tol=1e-10, max_iter=500):
+def power_iteration_pq(S, p, q, x0, max_iter=500):
     """Alternating maximization of ||Sx||_q over the unit p-ball.
 
     Supports 1 < p <= inf and 1 <= q < inf (the remaining cases have
@@ -254,7 +256,7 @@ def power_iteration_pq(S, p, q, x0, tol=1e-10, max_iter=500):
     if p == 1.0 or q == INF:
         raise ExponentError("power_iteration_pq handles 1 < p <= inf, q < inf")
     x0 = np.asarray(x0, dtype=complex).reshape(1, -1)
-    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, tol, max_iter)
+    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, max_iter)
     return vals[0], wits[0], labels[0]
 
 
@@ -313,23 +315,23 @@ def _start_vectors(shape, cfg: SearchConfig) -> np.ndarray:
 def search_configs(cfg, k: int, caller: str, items: str) -> list[SearchConfig]:
     """One SearchConfig for each of k items: cfg itself k times (the
     default for None), or a sequence of k configs, which must share one
-    tol and one max_iter; otherwise a ValueError naming caller and items."""
+    max_iter; otherwise a ValueError naming caller and items."""
     if cfg is None or isinstance(cfg, SearchConfig):
         return [cfg or SearchConfig()] * k
     cfgs = list(cfg)
     if len(cfgs) != k:
         raise ValueError(f"{caller} got {len(cfgs)} search configs for {k} {items}")
-    if len({(c.tol, c.max_iter) for c in cfgs}) > 1:
-        raise ValueError(f"the search configs of one {caller} call must share tol and max_iter")
+    if len({c.max_iter for c in cfgs}) > 1:
+        raise ValueError(f"the search configs of one {caller} call must share max_iter")
     return cfgs
 
 
 def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
     """`opnorm` of each matrix in mats, all of one shape. cfg is one
     SearchConfig for every matrix or a sequence of one per matrix; matrix
-    i's starts come from its own config, and all share one tol and one
-    max_iter. Outside the exact branches, every multistart of every matrix
-    runs in one power-iteration block, and each matrix keeps its best start."""
+    i's starts come from its own config, and all share one max_iter.
+    Outside the exact branches, every multistart of every matrix runs in
+    one power-iteration block, and each matrix keeps its best start."""
     p = check_exponent(p)
     q = check_exponent(q)
     mats = [np.asarray(S, dtype=complex) for S in mats]
@@ -354,9 +356,7 @@ def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None
     sizes = [len(x) for x in starts]
     owner = np.repeat(np.arange(len(mats)), sizes)
     ends = np.cumsum(sizes).tolist()
-    vals, wits, labels = _power_block(
-        mats, owner, np.concatenate(starts), p, q, cfgs[0].tol, cfgs[0].max_iter
-    )
+    vals, wits, labels = _power_block(mats, owner, np.concatenate(starts), p, q, cfgs[0].max_iter)
     out = []
     for lo, hi in zip([0, *ends[:-1]], ends):
         r = max(range(lo, hi), key=vals.__getitem__)  # first best start
@@ -479,9 +479,12 @@ class _UpperAnchors:
 def opnorm_uppers(S, pairs) -> list[float]:
     """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S|, sigma_max and
     the columns of |S| are computed once for all of them, sigma_max and the
-    columns only where some pair reads them."""
+    columns only where some pair reads them. A real S is taken in float64
+    and a complex one in complex128, so sigma_max is the largest singular
+    value in S's own arithmetic, the value np.linalg.norm(S, 2) gives."""
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
-    S = np.asarray(S, dtype=complex)
+    S = np.asarray(S)
+    S = S.astype(complex if np.iscomplexobj(S) else float, copy=False)
     m, n = S.shape
     anchors = _UpperAnchors(S)
     a = anchors.a

@@ -18,6 +18,7 @@ from .norms import (
     EXACT,
     INF,
     LOWER_BOUND,
+    SEARCH_TOL,
     NormEstimate,
     SearchConfig,
     check_exponent,
@@ -126,13 +127,6 @@ def hilbert_type_witness(n_rows: int, n_cols: int) -> np.ndarray:
     return h
 
 
-def _svd_ratio(MS: np.ndarray, S: np.ndarray) -> float:
-    """||M o S|| / ||S|| on l_2 from MS = M o S, both norms exact (largest
-    singular values); 0 when S is zero."""
-    den = np.linalg.norm(S, 2)
-    return float(np.linalg.norm(MS, 2) / den) if den > 0.0 else 0.0
-
-
 # the S_1 alternation's Anderson step mixes the plain-step images of its
 # last ANDERSON_DEPTH accepted iterates
 ANDERSON_DEPTH = 4
@@ -190,7 +184,7 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
     |u|, |v| normalized; a trial whose value does not exceed the last
     accepted one is rejected, and the plain step of the last accepted
     iterate is taken instead, so accepted values only rise. The
-    loop stops when an accepted value rises by at most `cfg.tol`
+    loop stops when an accepted value rises by at most `SEARCH_TOL`
     (relative) or after `cfg.max_iter` SVDs. Needs maxmod = max |M_kj| > 0.
 
     The same SVD factors M_kj = <x_k, y_j> with x_k = (U s^(1/2))_k / u_k
@@ -228,7 +222,7 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
             continue
         if s1 > value:
             W = W1 if k == 1 else U @ Vh
-        if s1 <= value * (1.0 + cfg.tol):
+        if s1 <= value * (1.0 + SEARCH_TOL):
             break
         value = s1
         image = _power_step(np.conj(W) * A, u)
@@ -259,23 +253,23 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     max-modulus floor (the matrix unit at a largest entry), then conj(W) and
     conj(W_1) from `_s1_witness`, the polar factors of the alternation's
     best and second iterates. On the staircases conj(W) wins at (2,4) and
-    the less converged conj(W_1) at (3,1.5). At p=q=2 both norms of a
-    ratio are exact SVD norms, the conj(W) ratio is at least the S_1 value
-    of the best iterate because ||W|| = 1, and the estimate's `upper` is the
-    Haagerup bound of `_s1_witness` (0 for a zero mask). An exact estimate's
-    `upper` is its value; the other lower bounds carry none. At other pairs a
-    ratio divides an `opnorm` lower bound on ||M o S|| by
-    `opnorm_upper(S, p, q)`, and a witness whose ratio of upper bounds
-    `opnorm_upper(M o S) / opnorm_upper(S)` is at most the best ratio so far
-    cannot beat it and is not searched.
+    the less converged conj(W_1) at (3,1.5). A witness whose ratio of upper
+    bounds `opnorm_upper(M o S) / opnorm_upper(S)` is at most the best ratio
+    so far cannot beat it and is skipped. At p=q=2 both upper bounds are
+    exact (sigma_max), so that ratio is the witness's own; the conj(W) ratio
+    is at least the S_1 value of the best iterate because ||W|| = 1, and
+    the estimate's `upper` is the Haagerup bound of `_s1_witness` (0 for a
+    zero mask). At other pairs a ratio divides an `opnorm` lower bound on
+    ||M o S|| by `opnorm_upper(S, p, q)`. An exact estimate's `upper` is its
+    value; the other lower bounds carry none.
 
     cfg is one SearchConfig for every pair or a sequence of one per pair,
-    all sharing one tol and one max_iter, as in `opnorms`. The witnesses
-    depend only on M, tol and max_iter, so they are built once, when some
-    pair is not exact, and every pair is evaluated at the same set. Each
-    witness's product M o S is formed once, and the upper bounds of S and
-    M o S at every pair off (2,2) come from one `opnorm_uppers` pass each.
-    Estimates that report the same witness share its array."""
+    all sharing one max_iter, as in `opnorms`. The witnesses depend only on
+    M and max_iter, so they are built once, when some pair is not exact, and
+    every pair is evaluated at the same set. Each witness's product M o S
+    is formed once, and the upper bounds of S and M o S at every non-exact
+    pair come from one `opnorm_uppers` pass each. Estimates that report the
+    same witness share its array."""
     M = np.asarray(M)
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
     cfgs = search_configs(cfg, len(pairs), "multiplier_norms", "pairs")
@@ -291,11 +285,11 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     witnesses, upper = [], 0.0
     if maxmod > 0.0 and not all(exact):
         conj_w, conj_w1, upper = _s1_witness(M, cfgs[0], maxmod)
-        off = [pq for pq, e in zip(pairs, exact) if not e and pq != (2.0, 2.0)]
+        inexact = [pq for pq, e in zip(pairs, exact) if not e]
         for S in (conj_w, conj_w1):
             MS = M * S
-            # (upper bound on ||S||, upper bound on ||M o S||) at each pair in off
-            uppers = dict(zip(off, zip(opnorm_uppers(S, off), opnorm_uppers(MS, off))))
+            # (upper bound on ||S||, upper bound on ||M o S||) at each inexact pair
+            uppers = dict(zip(inexact, zip(opnorm_uppers(S, inexact), opnorm_uppers(MS, inexact))))
             witnesses.append((S, MS, uppers))
     out = []
     for (p, q), c, e in zip(pairs, cfgs, exact):
@@ -304,13 +298,10 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
             continue
         best, witness = maxmod, unit
         for S, MS, uppers in witnesses:
-            if p == q == 2.0:
-                r = _svd_ratio(MS, S)
-            else:
-                den, num = uppers[p, q]
-                if den == 0.0 or num / den <= best:
-                    continue
-                r = opnorm(MS, p, q, c).value / den
+            den, num = uppers[p, q]
+            if den == 0.0 or num / den <= best:
+                continue
+            r = num / den if p == q == 2.0 else opnorm(MS, p, q, c).value / den
             if r > best:
                 best, witness = r, S
         bound = upper if p == q == 2.0 else None
