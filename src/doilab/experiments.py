@@ -58,13 +58,17 @@ class ExperimentConfig:
     dims: list = field(default_factory=lambda: [2, 4, 8, 16])
     pq_pairs: list = field(default_factory=lambda: [(1.0, 2.0), (1.0, INF), (2.0, 2.0)])
     trials: int = 20
-    search: SearchConfig = field(default_factory=lambda: SearchConfig(multistarts=8, max_iter=300))
+    search: SearchConfig = field(default_factory=SearchConfig)
     output_path: str = "results.csv"
 
 
 def _parse_exponent(v) -> float:
-    if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-        return INF
+    """A JSON number in [1, inf], or the string "inf" or "infinity" in any
+    case; anything else is a ConfigError."""
+    if isinstance(v, str):
+        if v.lower() in ("inf", "infinity"):
+            return INF
+        raise ConfigError(f'exponent {v!r} is neither a number nor "inf"')
     if isinstance(v, bool):
         raise ConfigError(f"exponent {v!r} is not a number")
     try:

@@ -21,8 +21,9 @@ INF = math.inf
 _LEAST = 5e-324
 _NORMAL = 2.0**-1022
 
-# a search stops once its value rises by less than SEARCH_TOL (relative)
+# a search stops once its value rises by less than SEARCH_TOL (relative) or after MAX_ITER steps
 SEARCH_TOL = 1e-10
+MAX_ITER = 300
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -107,10 +108,9 @@ def vector_norm(x, p) -> float:
 
 @dataclass
 class SearchConfig:
-    """Knobs for the heuristic norm searches; deterministic per seed."""
+    """Knobs for the heuristic norm searches; deterministic per seed. Every run uses SearchConfig()."""
 
-    multistarts: int = 32
-    max_iter: int = 500
+    multistarts: int = 8
     seed: int = 0
 
     def rng(self, *salt) -> np.random.Generator:
@@ -243,8 +243,8 @@ def _power_block(mats, owner, x0, p, q, max_iter):
     return best.tolist(), list(best_x), labels.tolist()
 
 
-def power_iteration_pq(S, p, q, x0, max_iter=500):
-    """Alternating maximization of ||Sx||_q over the unit p-ball.
+def power_iteration_pq(S, p, q, x0):
+    """Alternating maximization of ||Sx||_q over the unit p-ball, for at most MAX_ITER steps.
 
     Supports 1 < p <= inf and 1 <= q < inf (the remaining cases have
     closed forms). Each step maximizes the bilinear form over one ball
@@ -256,7 +256,7 @@ def power_iteration_pq(S, p, q, x0, max_iter=500):
     if p == 1.0 or q == INF:
         raise ExponentError("power_iteration_pq handles 1 < p <= inf, q < inf")
     x0 = np.asarray(x0, dtype=complex).reshape(1, -1)
-    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, max_iter)
+    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, MAX_ITER)
     return vals[0], wits[0], labels[0]
 
 
@@ -312,34 +312,40 @@ def _start_vectors(shape, cfg: SearchConfig) -> np.ndarray:
     return starts
 
 
+def check_matrix(S, caller: str, what: str = "matrix") -> np.ndarray:
+    """S as an array, or a ValueError naming caller and what S is when S
+    is not 2-D, is empty or has an infinite or nan entry."""
+    S = np.asarray(S)
+    if S.ndim != 2:
+        raise ValueError(f"{caller} takes a 2-D {what}, got shape {S.shape}")
+    if S.size == 0:
+        raise ValueError(f"{caller} of an empty {what}")
+    if not np.isfinite(S).all():
+        raise ValueError(f"{what} entries must be finite")
+    return S
+
+
 def search_configs(cfg, k: int, caller: str, items: str) -> list[SearchConfig]:
     """One SearchConfig for each of k items: cfg itself k times (the
-    default for None), or a sequence of k configs, which must share one
-    max_iter; otherwise a ValueError naming caller and items."""
+    default for None), or a sequence of k configs; otherwise a ValueError
+    naming caller and items."""
     if cfg is None or isinstance(cfg, SearchConfig):
         return [cfg or SearchConfig()] * k
     cfgs = list(cfg)
     if len(cfgs) != k:
         raise ValueError(f"{caller} got {len(cfgs)} search configs for {k} {items}")
-    if len({c.max_iter for c in cfgs}) > 1:
-        raise ValueError(f"the search configs of one {caller} call must share max_iter")
     return cfgs
 
 
 def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None) -> list[NormEstimate]:
     """`opnorm` of each matrix in mats, all of one shape. cfg is one
     SearchConfig for every matrix or a sequence of one per matrix; matrix
-    i's starts come from its own config, and all share one max_iter.
-    Outside the exact branches, every multistart of every matrix runs in
-    one power-iteration block, and each matrix keeps its best start."""
+    i's starts come from its own config. Outside the exact branches, every
+    multistart of every matrix runs in one power-iteration block of at most
+    MAX_ITER steps, and each matrix keeps its best start."""
     p = check_exponent(p)
     q = check_exponent(q)
-    mats = [np.asarray(S, dtype=complex) for S in mats]
-    for S in mats:
-        if S.size == 0:
-            raise ValueError("opnorm of an empty matrix")
-        if not np.all(np.isfinite(S)):
-            raise ValueError("matrix entries must be finite")
+    mats = [check_matrix(np.asarray(S, dtype=complex), "opnorm") for S in mats]
     if len({S.shape for S in mats}) > 1:
         raise ValueError("opnorms takes matrices of one shape")
     cfgs = search_configs(cfg, len(mats), "opnorms", "matrices")
@@ -356,7 +362,7 @@ def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None
     sizes = [len(x) for x in starts]
     owner = np.repeat(np.arange(len(mats)), sizes)
     ends = np.cumsum(sizes).tolist()
-    vals, wits, labels = _power_block(mats, owner, np.concatenate(starts), p, q, cfgs[0].max_iter)
+    vals, wits, labels = _power_block(mats, owner, np.concatenate(starts), p, q, MAX_ITER)
     out = []
     for lo, hi in zip([0, *ends[:-1]], ends):
         r = max(range(lo, hi), key=vals.__getitem__)  # first best start
@@ -484,7 +490,7 @@ def opnorm_uppers(S, pairs) -> list[float]:
     value in S's own arithmetic, the value np.linalg.norm(S, 2) gives."""
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
     S = np.asarray(S)
-    S = S.astype(complex if np.iscomplexobj(S) else float, copy=False)
+    S = check_matrix(S.astype(complex if np.iscomplexobj(S) else float, copy=False), "opnorm_upper")
     m, n = S.shape
     anchors = _UpperAnchors(S)
     a = anchors.a

@@ -18,10 +18,12 @@ from .norms import (
     EXACT,
     INF,
     LOWER_BOUND,
+    MAX_ITER,
     SEARCH_TOL,
     NormEstimate,
     SearchConfig,
     check_exponent,
+    check_matrix,
     opnorm,
     opnorm_uppers,
     search_configs,
@@ -164,7 +166,7 @@ def _anderson_mix(points: list, images: list):
     return z[:m] / nu, z[m:] / nv
 
 
-def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _s1_witness(M: np.ndarray, maxmod: float) -> tuple[np.ndarray, np.ndarray, float]:
     """(conj(W), conj(W_1), upper): conj(W) for the polar factor W of the
     best iterate of an alternation that maximizes ||D_u M D_v||_{S_1} over
     unit u, v >= 0, conj(W_1) for the polar factor W_1 of its second
@@ -185,7 +187,7 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
     accepted one is rejected, and the plain step of the last accepted
     iterate is taken instead, so accepted values only rise. The
     loop stops when an accepted value rises by at most `SEARCH_TOL`
-    (relative) or after `cfg.max_iter` SVDs. Needs maxmod = max |M_kj| > 0.
+    (relative) or after MAX_ITER SVDs. Needs maxmod = max |M_kj| > 0.
 
     The same SVD factors M_kj = <x_k, y_j> with x_k = (U s^(1/2))_k / u_k
     and y_j = (s^(1/2) Vh)_j / v_j, taking x_k = 0 on a zero row of M and
@@ -207,7 +209,7 @@ def _s1_witness(M: np.ndarray, cfg: SearchConfig, maxmod: float) -> tuple[np.nda
     # the last accepted iterates, their plain-step images, and whether u, v
     # is an Anderson trial
     points, images, trial = [], [], False
-    for k in range(cfg.max_iter):
+    for k in range(MAX_ITER):
         U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
         s1 = float(s.sum())
         ur, vc = u[rows], v[cols]
@@ -264,19 +266,14 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     value; the other lower bounds carry none.
 
     cfg is one SearchConfig for every pair or a sequence of one per pair,
-    all sharing one max_iter, as in `opnorms`. The witnesses depend only on
-    M and max_iter, so they are built once, when some pair is not exact, and
-    every pair is evaluated at the same set. Each witness's product M o S
-    is formed once, and the upper bounds of S and M o S at every non-exact
-    pair come from one `opnorm_uppers` pass each. Estimates that report the
-    same witness share its array."""
-    M = np.asarray(M)
+    as in `opnorms`. The witnesses depend only on M, so they are built once,
+    when some pair is not exact, and every pair is evaluated at the same
+    set. Each witness's product M o S is formed once, and the upper bounds
+    of S and M o S at every non-exact pair come from one `opnorm_uppers`
+    pass each. Estimates that report the same witness share its array."""
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
     cfgs = search_configs(cfg, len(pairs), "multiplier_norms", "pairs")
-    if M.size == 0:
-        raise ValueError("empty mask")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("mask entries must be finite")
+    M = check_matrix(M, "multiplier_norm", "mask")
     maxmod = float(np.abs(M).max())
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)
@@ -284,7 +281,7 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     exact = [p == 1.0 or q == INF for p, q in pairs]
     witnesses, upper = [], 0.0
     if maxmod > 0.0 and not all(exact):
-        conj_w, conj_w1, upper = _s1_witness(M, cfgs[0], maxmod)
+        conj_w, conj_w1, upper = _s1_witness(M, maxmod)
         inexact = [pq for pq, e in zip(pairs, exact) if not e]
         for S in (conj_w, conj_w1):
             MS = M * S

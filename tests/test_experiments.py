@@ -73,11 +73,19 @@ def test_config_rejects_unknown_keys():
         {"dims": [4, 4]}, {"dims": [2, 4, 2]}, {"pq_pairs": [[2, 2], [2, 2]]},
         # duplicates after parsing: "inf" and 1e400 both parse to inf
         {"pq_pairs": [[1, "inf"], [1, 1e400]]}, {"pq_pairs": [[2, 2.0], [1, 2], [2, 2]]},
+        # the only exponent strings are "inf" and "infinity"
+        {"pq_pairs": [[2, "2"]]}, {"pq_pairs": [["1.5", 3]]}, {"pq_pairs": [[1, "1e400"]]},
+        {"pq_pairs": [[1, "+inf"]]}, {"pq_pairs": [[1, " inf"]]}, {"pq_pairs": [[1, ""]]},
     ],
 )
 def test_config_validation_errors(patch):
     with pytest.raises(ConfigError):
         config_from_dict(patch)
+
+
+def test_config_exponent_strings_are_inf_in_any_case():
+    for word in ("inf", "INF", "Inf", "infinity", "Infinity", "INFINITY"):
+        assert config_from_dict({"pq_pairs": [[1, word]]}).pq_pairs == [(1.0, INF)]
 
 
 def test_removed_config_keys_are_unknown(tmp_path, capsys):
@@ -352,6 +360,8 @@ def test_cli_config_error_exit_code(tmp_path):
         {"pq_pairs": [[True, 2]]},
         {"output_path": None},
         {"output_path": ""},
+        {"pq_pairs": [[2, "2"]]},
+        {"pq_pairs": [["3", "inf"]]},
     ],
 )
 def test_cli_malformed_values_exit_code(tmp_path, capsys, override):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doilab import norms, schur
+from doilab.experiments import ExperimentConfig
 from doilab.norms import (
     EXACT,
     INF,
@@ -338,7 +340,7 @@ def _ref_starts(m, n, cfg):
 def _ref_opnorm(S, p, q, cfg):
     best = None
     for x0 in _ref_starts(*S.shape, cfg):
-        val, w, lab, _ = _ref_power_iteration(S, p, q, x0, SEARCH_TOL, cfg.max_iter)
+        val, w, lab, _ = _ref_power_iteration(S, p, q, x0, SEARCH_TOL, norms.MAX_ITER)
         if best is None or val > best[0]:
             best = (val, w, lab)
     return best
@@ -366,11 +368,12 @@ def _same(a, b):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, INF])
 @pytest.mark.parametrize("q", [1.0, 1.5, 4.0])
-def test_power_block_matches_single_start_loop(p, q):
+def test_power_block_matches_single_start_loop(p, q, monkeypatch):
     rng = np.random.default_rng(17)
     labels_seen, uneven = set(), False
     for S in _kernel_cases(int(rng.integers(1 << 30))):
         for max_iter in (3, 300):
+            monkeypatch.setattr(norms, "MAX_ITER", max_iter)
             k = int(rng.integers(1, 13))
             starts = rng.standard_normal((k, S.shape[1])) + 1j * rng.standard_normal((k, S.shape[1]))
             starts[0] = 1.0
@@ -379,7 +382,7 @@ def test_power_block_matches_single_start_loop(p, q):
             for r in range(k):
                 val, w, lab, it = _ref_power_iteration(S, p, q, starts[r], SEARCH_TOL, max_iter)
                 assert _same((vals[r], wits[r], labels[r]), (val, w, lab)), (S.shape, max_iter, r)
-                assert _same(power_iteration_pq(S, p, q, starts[r], max_iter), (val, w, lab))
+                assert _same(power_iteration_pq(S, p, q, starts[r]), (val, w, lab))
                 labels_seen.add(lab)
                 iters.add(it)
             uneven |= len(iters) > 1
@@ -419,8 +422,9 @@ def test_matvecs_equal_one_matvec_per_row():
 
 
 @pytest.mark.parametrize("multistarts, max_iter", [(1, 300), (5, 300), (12, 300), (8, 4)])
-def test_opnorm_matches_single_start_loop(multistarts, max_iter):
-    cfg = SearchConfig(multistarts=multistarts, max_iter=max_iter, seed=99)
+def test_opnorm_matches_single_start_loop(multistarts, max_iter, monkeypatch):
+    monkeypatch.setattr(norms, "MAX_ITER", max_iter)
+    cfg = SearchConfig(multistarts=multistarts, seed=99)
     for S in _kernel_cases(7):
         for p, q in [(3.0, 1.5), (INF, 1.0), (1.5, 4.0), (2.0, 1.0)]:
             est = opnorm(S, p, q, cfg)
@@ -444,12 +448,13 @@ def test_opnorms_equals_opnorm_of_each():
         opnorms([np.eye(2), np.eye(3)], 3.0, 1.5)
 
 
-def test_opnorms_with_per_matrix_configs_equals_opnorm_of_each():
+def test_opnorms_with_per_matrix_configs_equals_opnorm_of_each(monkeypatch):
+    monkeypatch.setattr(norms, "MAX_ITER", 200)
     rng = np.random.default_rng(12)
     for n in (2, 4, 9):  # seeded complex Gaussian starts at n < multistarts - 1
         mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(4)]
         mats.append(np.zeros((n, n)))
-        cfgs = [SearchConfig(multistarts=k, max_iter=200, seed=s) for k, s in ((8, 1), (8, 2), (3, 3), (1, 4), (8, 5))]
+        cfgs = [SearchConfig(multistarts=k, seed=s) for k, s in ((8, 1), (8, 2), (3, 3), (1, 4), (8, 5))]
         for p, q in [(2.0, 1.5), (2.5, 2.0), (3.0, 1.5), (2.0, 2.0), (1.0, 3.0), (1.5, INF)]:
             batch = opnorms(mats, p, q, cfgs)
             for S, c, est in zip(mats, cfgs, batch):
@@ -458,21 +463,69 @@ def test_opnorms_with_per_matrix_configs_equals_opnorm_of_each():
                     one.value, one.witness.tobytes(), one.method, one.certainty)
     # each matrix iterates from its own starts: at n = 2 one step from the
     # Gaussian starts of two seeds ends at two witnesses
+    monkeypatch.setattr(norms, "MAX_ITER", 1)
     S = np.array([[1.0, 2.0j], [0.5, -1.0]])
-    a, b = opnorms([S, S], 2.0, 1.5, [SearchConfig(max_iter=1, seed=1), SearchConfig(max_iter=1, seed=2)])
+    a, b = opnorms([S, S], 2.0, 1.5, [SearchConfig(seed=1), SearchConfig(seed=2)])
     assert a.witness.tobytes() != b.witness.tobytes()
 
 
 @pytest.mark.parametrize("cfgs", [
-    [SearchConfig(max_iter=300), SearchConfig(max_iter=301)],
     [SearchConfig()],
     [SearchConfig()] * 3,
+    [],
 ])
 def test_opnorms_rejects_mismatched_configs(cfgs):
     mats = [np.eye(3), np.ones((3, 3))]
     for p, q in [(3.0, 1.5), (1.0, 2.0)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{len(cfgs)} search configs for 2 matrices"):
             opnorms(mats, p, q, cfgs)
+
+
+def test_every_run_searches_with_the_default_config_up_to_max_iter(monkeypatch):
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["multistarts", "seed"]
+    assert ExperimentConfig().search == SearchConfig() == SearchConfig(multistarts=8, seed=0)
+    assert norms.MAX_ITER == schur.MAX_ITER == 300
+    # with the caps lowered, the power iteration stops after MAX_ITER steps
+    # (two matvecs each, after the start's one) and the S_1 alternation
+    # after MAX_ITER SVDs, on inputs where neither has converged by then
+    cap = 5
+    monkeypatch.setattr(norms, "MAX_ITER", cap)
+    monkeypatch.setattr(schur, "MAX_ITER", cap)
+    calls, matvecs = [], norms._matvecs
+    monkeypatch.setattr(norms, "_matvecs", lambda ops, v: calls.append(len(v)) or matvecs(ops, v))
+    S = _kernel_cases(3)[0]
+    est = opnorm(S, 3.0, 1.5, SearchConfig(multistarts=1))
+    assert est.method == "power_iteration:max_iter"
+    assert calls == [1] * (1 + 2 * cap)
+    calls.clear()
+    assert power_iteration_pq(S, 3.0, 1.5, np.ones(5))[2] == "power_iteration:max_iter"
+    assert len(calls) == 1 + 2 * cap
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(kw) or svd(a, *args, **kw))
+    schur._s1_witness(schur.standard_truncation_mask(32, 32, 32), 1.0)
+    assert svds == [{"full_matrices": False}] * cap
+
+
+# a nonfinite entry, no entries, and arrays that are not 2-D
+BAD_MATRICES = {
+    "inf": np.array([[np.inf, 1.0]]),
+    "nan": np.array([[np.nan, 1.0]]),
+    "empty": np.zeros((0, 3)),
+    "vector": np.ones(3),
+    "scalar": np.array(2.0),
+    "3-D": np.ones((2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MATRICES)
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (3.0, 3.0), (2.0, 2.0), (1.0, 2.0), (3.0, 1.5), (2.0, INF)])
+def test_bad_matrices_are_the_same_value_error_in_every_norm(name, p, q):
+    S = BAD_MATRICES[name]
+    for norm in (opnorm, opnorm_upper, schur.multiplier_norm):
+        with pytest.raises(ValueError, match="takes a 2-D|of an empty|entries must be finite"):
+            norm(S, p, q)
+    with pytest.raises(ValueError, match="takes a 2-D|of an empty|entries must be finite"):
+        opnorm_uppers(S, [])
 
 
 @settings(deadline=None, max_examples=30)
@@ -603,8 +656,9 @@ def _upper_test_matrices(seed):
 
 
 @pytest.mark.parametrize("p, q", MIXED_PAIRS)
-def test_opnorm_upper_dominates_a_strong_search(p, q):
-    cfg = SearchConfig(multistarts=64, max_iter=2000, seed=5)
+def test_opnorm_upper_dominates_a_strong_search(p, q, monkeypatch):
+    monkeypatch.setattr(norms, "MAX_ITER", 2000)
+    cfg = SearchConfig(multistarts=64, seed=5)
     for S in _upper_test_matrices(11):
         lower = opnorm(S, p, q, cfg).value
         assert opnorm_upper(S, p, q) >= lower * (1.0 - 1e-12)
@@ -672,10 +726,11 @@ def _opnorm_upper_without_the_corner_segment(S, p, q) -> float:
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (2.0, 3.0), (2.0, 4.0)])
-def test_opnorm_upper_corner_segment_lies_between_a_search_and_the_other_anchors(p, q):
+def test_opnorm_upper_corner_segment_lies_between_a_search_and_the_other_anchors(p, q, monkeypatch):
     # the segment from the (1,1) corner to the (pt,inf) edge can only lower
     # the bound, and never below a lower bound
-    cfg = SearchConfig(multistarts=16, max_iter=500, seed=6)
+    monkeypatch.setattr(norms, "MAX_ITER", 500)
+    cfg = SearchConfig(multistarts=16, seed=6)
     for S in _upper_test_matrices(15):
         upper = opnorm_upper(S, p, q)
         assert opnorm(S, p, q, cfg).value * (1.0 - 1e-12) <= upper <= _opnorm_upper_without_the_corner_segment(S, p, q)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinity import set_cpus
-from doilab import schur
+from doilab import norms, schur
 from doilab.experiments import ExperimentConfig, config_from_dict, run_truncation_growth
 from doilab.norms import EXACT, INF, LOWER_BOUND, SEARCH_TOL, SearchConfig, opnorm_upper, opnorms
 from doilab.schur import (
@@ -243,7 +243,7 @@ def test_multiplier_norm_pinned_values(p, q, n, floor):
     # reruns must be byte-identical, so a change to the norm search must
     # reproduce the pins; `floor` is an earlier pin, and a lower bound must
     # not fall below it
-    est = multiplier_norm(_pm1_mask(n), p, q, SearchConfig(multistarts=8, max_iter=300, seed=11))
+    est = multiplier_norm(_pm1_mask(n), p, q, SearchConfig(multistarts=8, seed=11))
     assert est.value == float.fromhex(PINNED_VALUES[p, q, n])
     assert est.value >= float.fromhex(floor)
 
@@ -251,7 +251,9 @@ def test_multiplier_norm_pinned_values(p, q, n, floor):
 # -------------------------------- truncation rows off (2,2), benchmark config
 
 TRUNCATION_DIMS = [2, 4, 8, 16, 32, 64, 128]
-STRONG_SEARCH = SearchConfig(multistarts=64, max_iter=2000, seed=7)
+# with norms.MAX_ITER raised to STRONG_MAX_ITER
+STRONG_SEARCH = SearchConfig(multistarts=64, seed=7)
+STRONG_MAX_ITER = 2000
 
 
 def _truncation_config(seed):
@@ -298,7 +300,7 @@ def test_truncation_rows_are_the_largest_estimate_at_every_smaller_n():
         assert _truncation_rows(seed)[2.0, 4.0, n].value == max(direct[m] for m in TRUNCATION_DIMS if m <= n)
 
 
-def test_truncation_witness_beats_the_floor_under_a_strong_search():
+def test_truncation_witness_beats_the_floor_under_a_strong_search(monkeypatch):
     # a ratio of two 2-start lower bounds can overestimate: the reported
     # witness must still beat the floor 1 when both norms are re-estimated
     seed, n = 20260803, 4
@@ -306,6 +308,7 @@ def test_truncation_witness_beats_the_floor_under_a_strong_search():
     assert est.value == _truncation_rows(seed)[2.0, 4.0, n].value
     M = standard_truncation_mask(n, n, n)
     S = est.witness.reshape(M.shape)
+    monkeypatch.setattr(norms, "MAX_ITER", STRONG_MAX_ITER)
     den, num = opnorms([S, M * S], 2, 4, STRONG_SEARCH)
     assert num.value / den.value >= 1.0
 
@@ -376,7 +379,7 @@ def test_s1_alternation_value_reevaluates_from_witness_and_beats_floors():
 @pytest.mark.parametrize("p, q", [(2.0, 4.0), (3.0, 1.5)])
 def test_multiplier_norm_value_reevaluates_from_witness_off_22(p, q):
     # a lower bound on ||M o S|| over an upper bound on ||S||
-    cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
+    cfg = SearchConfig(multistarts=2, seed=3)
     for M in [standard_truncation_mask(8, 8, 8), *_complex_masks()]:
         est = multiplier_norm(M, p, q, cfg)
         S = est.witness.reshape(M.shape)
@@ -401,23 +404,25 @@ def _svd_values(monkeypatch) -> list:
 
 def test_s1_alternation_iterates_are_monotone(monkeypatch):
     values = _svd_values(monkeypatch)
+    monkeypatch.setattr(schur, "MAX_ITER", 60)
     for M in [standard_truncation_mask(32, 32, 32), *_complex_masks()]:
         values.clear()
-        multiplier_norm(M, 2, 2, SearchConfig(max_iter=60))
+        multiplier_norm(M, 2, 2)
         assert len(values) >= 2
         assert all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:]))
 
 
-def _plain_s1_alternation(M, cfg):
+def _plain_s1_alternation(M):
     """The S_1 alternation with plain steps only, as `_s1_witness` ran
-    before its Anderson step: (conj(W), conj(W_1), upper, SVDs taken)."""
+    before its Anderson step, up to the same MAX_ITER SVDs: (conj(W),
+    conj(W_1), upper, SVDs taken)."""
     maxmod = float(np.abs(M).max())
     A = M / maxmod
     m, n = M.shape
     rows, cols = np.any(A != 0, axis=1), np.any(A != 0, axis=0)
     u, v = np.full(m, m**-0.5), np.full(n, n**-0.5)
     value, W, W1, upper, svds = 0.0, np.zeros(M.shape), None, INF, 0
-    for _ in range(cfg.max_iter):
+    for _ in range(schur.MAX_ITER):
         U, s, Vh = np.linalg.svd(u[:, None] * A * v, full_matrices=False)
         svds += 1
         s1 = float(s.sum())
@@ -449,11 +454,10 @@ def _plain_s1_alternation(M, cfg):
 
 @functools.lru_cache(maxsize=None)
 def _plain_staircase_bracket(n):
-    """(lower, upper, SVDs) of the plain alternation on the n x n staircase
-    at the default search, the lower one over the floor, conj(W) and the
-    Hilbert-type witness."""
+    """(lower, upper, SVDs) of the plain alternation on the n x n staircase,
+    the lower one over the floor, conj(W) and the Hilbert-type witness."""
     M = standard_truncation_mask(n, n, n)
-    conj_w, _, upper, svds = _plain_s1_alternation(M, SearchConfig())
+    conj_w, _, upper, svds = _plain_s1_alternation(M)
     lower = max(1.0, *(_svd_norm(M * S) / _svd_norm(S) for S in (conj_w, hilbert_type_witness(n, n))))
     return lower, upper, svds
 
@@ -474,10 +478,9 @@ def test_s1_alternation_takes_at_most_20_svds_at_n128(monkeypatch):
 
 
 def test_s1_alternation_second_iterate_is_the_plain_loops():
-    cfg = SearchConfig()
     for M in [*(standard_truncation_mask(n, n, n) for n in (2, 8, 32)), *_complex_masks()]:
-        conj_w1 = schur._s1_witness(M, cfg, float(np.abs(M).max()))[1]
-        assert conj_w1.tobytes() == _plain_s1_alternation(M, cfg)[1].tobytes()
+        conj_w1 = schur._s1_witness(M, float(np.abs(M).max()))[1]
+        assert conj_w1.tobytes() == _plain_s1_alternation(M)[1].tobytes()
 
 
 def _abs_mask16():
@@ -493,7 +496,8 @@ def test_s1_alternation_rejects_trials_that_do_not_rise(monkeypatch):
     # iterate, whose value is at least that one
     M = _abs_mask16()
     values = _svd_values(monkeypatch)
-    est = multiplier_norm(M, 2, 2, SearchConfig(max_iter=60))
+    monkeypatch.setattr(schur, "MAX_ITER", 60)
+    est = multiplier_norm(M, 2, 2)
     assert len(values) == 60
     best, rejected = values[0], []
     for k, s1 in enumerate(values[1:-1], 1):
@@ -642,9 +646,9 @@ def _counting_s1_witness(monkeypatch) -> list:
     """Replace schur._s1_witness by a counting wrapper; returns the call log."""
     calls, witness = [], schur._s1_witness
 
-    def counting(M, cfg, maxmod):
+    def counting(M, maxmod):
         calls.append(M.shape)
-        return witness(M, cfg, maxmod)
+        return witness(M, maxmod)
 
     monkeypatch.setattr(schur, "_s1_witness", counting)
     return calls
@@ -658,7 +662,7 @@ def _counting_s1_witness(monkeypatch) -> list:
 def test_multiplier_norms_equal_per_pair_multiplier_norm(M):
     # 40 starts exceed n + 1 for every mask here, so each pair's seeded
     # Gaussian starts take part and differ between pairs
-    cfgs = [SearchConfig(multistarts=40, max_iter=300, seed=100 + i) for i in range(len(PAIRS))]
+    cfgs = [SearchConfig(multistarts=40, seed=100 + i) for i in range(len(PAIRS))]
     for est, (p, q), cfg in zip(multiplier_norms(M, PAIRS, cfgs), PAIRS, cfgs):
         ref = multiplier_norm(M, p, q, cfg)
         assert (est.value, est.certainty, est.method) == (ref.value, ref.certainty, ref.method)
@@ -684,11 +688,6 @@ def test_multiplier_norms_rejects_mismatched_configs():
     M = standard_truncation_mask(4, 4, 4)
     with pytest.raises(ValueError, match="2 search configs for 3 pairs"):
         multiplier_norms(M, PAIRS[:3], [SearchConfig(), SearchConfig()])
-    with pytest.raises(ValueError, match="must share max_iter"):
-        multiplier_norms(M, PAIRS[:2], [SearchConfig(), SearchConfig(max_iter=10)])
-    # a mismatch is an error even where every pair is exact
-    with pytest.raises(ValueError, match="must share max_iter"):
-        multiplier_norms(M, [(1.0, 2.0), (INF, INF)], [SearchConfig(), SearchConfig(max_iter=10)])
 
 
 def test_truncation_growth_builds_one_witness_set_per_n(monkeypatch):
@@ -712,7 +711,7 @@ def _unpruned_multiplier_norm(M, p, q, cfg):
     kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
     best_value, best_witness = maxmod, np.zeros(M.shape, dtype=complex)
     best_witness[kj] = 1.0
-    cands = schur._s1_witness(M, cfg, maxmod)[:2]
+    cands = schur._s1_witness(M, maxmod)[:2]
     for S, num in zip(cands, opnorms([M * S for S in cands], p, q, cfg)):
         den = opnorm_upper(S, p, q)
         r = num.value / den if den > 0.0 else 0.0
@@ -728,7 +727,7 @@ def _unpruned_multiplier_norm(M, p, q, cfg):
 )
 def test_pruned_multiplier_norms_equal_the_unpruned_reference(M):
     pairs = [(2.0, 4.0), (3.0, 1.5)]
-    cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
+    cfg = SearchConfig(multistarts=2, seed=3)
     for est, (p, q) in zip(multiplier_norms(M, pairs, cfg), pairs):
         value, witness = _unpruned_multiplier_norm(M, p, q, cfg)
         assert (est.value, est.certainty) == (value, LOWER_BOUND)
@@ -760,8 +759,8 @@ def test_multiplier_norms_takes_one_value_svd_per_witness_matrix(monkeypatch):
     # and of M o S is taken once, in one opnorm_uppers pass, and in real
     # arithmetic for the real staircase: four real value-only SVDs
     M = standard_truncation_mask(16, 16, 16)
-    cfg = SearchConfig(multistarts=2, max_iter=300, seed=3)
-    W, W1 = schur._s1_witness(M, cfg, 1.0)[:2]
+    cfg = SearchConfig(multistarts=2, seed=3)
+    W, W1 = schur._s1_witness(M, 1.0)[:2]
     mats = [W, M * W, W1, M * W1]
     ref = multiplier_norm(M, 2.0, 2.0, cfg)
     for pairs in ([(2.0, 2.0)], [(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)]):
@@ -815,7 +814,7 @@ def test_multiplier_norms_searches_only_the_witnesses_that_can_beat_the_best_rat
     mats.clear()
     M = _abs_mask16()
     [est] = multiplier_norms(M, pairs[:1], cfg)
-    W, W1 = schur._s1_witness(M, cfg, float(np.abs(M).max()))[:2]
+    W, W1 = schur._s1_witness(M, float(np.abs(M).max()))[:2]
     bound = opnorm_upper(M * W1, 2.0, 4.0) / opnorm_upper(W1, 2.0, 4.0)
     assert 1.0 < bound < est.value
     assert bound == pytest.approx(1.072, abs=1e-3) and est.value == pytest.approx(1.097, abs=1e-3)
@@ -830,7 +829,7 @@ def test_multiplier_norms_conj_w1_wins_at_3_15_and_conj_w_at_2_4():
     cfg = SearchConfig(multistarts=2)
     for n in (8, 32):
         M = standard_truncation_mask(n, n, n)
-        W, W1 = schur._s1_witness(M, cfg, 1.0)[:2]
+        W, W1 = schur._s1_witness(M, 1.0)[:2]
         ests = multiplier_norms(M, [(2.0, 4.0), (3.0, 1.5)], cfg)
         assert ests[0].witness.tobytes() == W.tobytes()
         assert ests[1].witness.tobytes() == W1.tobytes()

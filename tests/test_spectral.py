@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doilab import spectral
+from doilab import norms, spectral
 from doilab.norms import EXACT, INF, LOWER_BOUND, SearchConfig, opnorm, opnorm_upper
 from doilab.spectral import (
     DiagonalizableOperator,
@@ -197,8 +197,9 @@ def _spectral_constant_per_subset(op, p, cfg):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
-def test_spectral_constant_blocks_match_per_subset_loop(p):
-    cfg = SearchConfig(multistarts=3, max_iter=50, seed=9)
+def test_spectral_constant_blocks_match_per_subset_loop(p, monkeypatch):
+    monkeypatch.setattr(norms, "MAX_ITER", 50)
+    cfg = SearchConfig(multistarts=3, seed=9)
     ops = [random_operator(seed, n=n, delta=0.5) for seed, n in [(40, 2), (41, 5), (42, 8)]]
     op = random_operator(43, n=6, delta=0.5)
     ops.append(DiagonalizableOperator([0.5, 0.5, -1.0, -1.0, 2.0, 3.0], op.u, op.u_inv))
