@@ -431,21 +431,12 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
     return NormEstimate(float(vals[i]), LOWER_BOUND, X[i].astype(complex), "bruteforce:grid")
 
 
-def riesz_thorin(n1: float | None, n2: float | None, ninf: float | None, p: float) -> float:
-    """Riesz-Thorin bound on an l_p -> l_p norm from bounds n1, n2, ninf
-    on the norms at p = 1, 2, inf; n1 is read only at p < 2, n2 only at
-    1 < p < inf and ninf only at p > 2."""
-    if p == 1.0:
-        return n1
-    if p == INF:
-        return ninf
-    if p == 2.0:
-        return n2
-    if p < 2.0:
-        theta = 2.0 / p - 1.0  # 1/p = theta/1 + (1-theta)/2
-        return n1**theta * n2 ** (1.0 - theta)
-    theta = 2.0 / p  # 1/p = theta/2
-    return n2**theta * ninf ** (1.0 - theta)
+def riesz_thorin(x0: float, x1: float, theta: float) -> float:
+    """x0^theta x1^(1-theta): the Riesz-Thorin bound at the point (p, q) with
+    (1/p, 1/q) = theta (1/p0, 1/q0) + (1-theta) (1/p1, 1/q1) of a segment
+    from bounds x0 at (p0, q0) and x1 at (p1, q1); Stein's theorem gives the
+    same form for an analytic family, as in K_p of `spectral`."""
+    return x0**theta * x1 ** (1.0 - theta)
 
 
 def _embedding_norm(k: int, r: float, s: float) -> float:
@@ -497,12 +488,16 @@ def opnorm_uppers(S, pairs) -> list[float]:
     out = []
     for p, q in pairs:
         if p == q:
-            out.append(riesz_thorin(
-                float(a.sum(axis=0).max()) if p < 2.0 else None,
-                anchors.sigma() if 1.0 < p < INF else None,
-                float(a.sum(axis=1).max()) if p > 2.0 else None,
-                p,
-            ))
+            if p == 1.0:
+                out.append(float(a.sum(axis=0).max()))
+            elif p == INF:
+                out.append(float(a.sum(axis=1).max()))
+            elif p == 2.0:
+                out.append(anchors.sigma())
+            elif p < 2.0:  # 1/p = theta/1 + (1-theta)/2
+                out.append(riesz_thorin(float(a.sum(axis=0).max()), anchors.sigma(), 2.0 / p - 1.0))
+            else:  # 1/p = theta/2
+                out.append(riesz_thorin(anchors.sigma(), float(a.sum(axis=1).max()), 2.0 / p))
             continue
         if p == 1.0:
             out.append(anchors.from_one(q))
@@ -519,10 +514,10 @@ def opnorm_uppers(S, pairs) -> list[float]:
             float(a.sum()),
         ]
         if p == 2.0 and q > 2.0:
-            bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+            bounds.append(riesz_thorin(sigma, to_inf, 2.0 / q))
         if p < q:
             pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
-            bounds.append(anchors.from_one(1.0) ** (1.0 / q) * anchors.to_inf(pt) ** (1.0 - 1.0 / q))
+            bounds.append(riesz_thorin(anchors.from_one(1.0), anchors.to_inf(pt), 1.0 / q))
         out.append(min(bounds))
     return out
 

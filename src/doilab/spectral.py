@@ -22,6 +22,7 @@ from .norms import (
     check_exponent,
     opnorm_upper,
     opnorms,
+    riesz_thorin,
 )
 
 _INV_TOL = 1e-9
@@ -85,8 +86,16 @@ class ConstantEstimate:
     argument: str
 
 
+def _similar(op: DiagonalizableOperator, w: np.ndarray) -> np.ndarray:
+    """U^{-1} diag(w) U as one matmul: the columns of U^{-1} scaled by w,
+    times U. For real w it equals op.u_inv @ np.diag(w) @ op.u bit for bit,
+    since the GEMM against diag(w) adds only exact zeros; for complex w the
+    two can differ in the last bit, as that GEMM fuses multiply-adds."""
+    return (op.u_inv * w) @ op.u
+
+
 def assemble(op: DiagonalizableOperator) -> np.ndarray:
-    return op.u_inv @ np.diag(op.lambdas) @ op.u
+    return _similar(op, op.lambdas)
 
 
 def functional_calculus(op: DiagonalizableOperator, f) -> np.ndarray:
@@ -101,7 +110,7 @@ def functional_calculus(op: DiagonalizableOperator, f) -> np.ndarray:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"f non-finite at eigenvalue {lam}")
         vals.append(v)
-    return op.u_inv @ np.diag(np.asarray(vals, dtype=complex)) @ op.u
+    return _similar(op, np.asarray(vals, dtype=complex))
 
 
 def _check_sigma(op: DiagonalizableOperator, sigma) -> frozenset:
@@ -126,7 +135,7 @@ def spectral_projection(op: DiagonalizableOperator, sigma) -> np.ndarray:
     d = np.zeros(op.n, dtype=complex)
     for i in sigma:
         d[i] = 1.0
-    return op.u_inv @ (d[:, None] * op.u)
+    return _similar(op, d)
 
 
 def _distinct_eigenvalue_groups(op: DiagonalizableOperator):
@@ -284,7 +293,7 @@ def diagonalizability_constant(op: DiagonalizableOperator, p) -> ConstantEstimat
         theta = abs(2.0 / p - 1.0)
         k_e, k_2 = diagonalizability_constant(op, e), diagonalizability_constant(op, 2.0)
         return ConstantEstimate(
-            k_e.value**theta * k_2.value ** (1.0 - theta),
+            riesz_thorin(k_e.value, k_2.value, theta),
             UPPER_BOUND,
             f"interpolation theta {json.dumps(theta)}; p = {e:g}: {k_e.argument}; p = 2: {k_2.argument}",
         )

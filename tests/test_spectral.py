@@ -70,9 +70,17 @@ def test_assemble_zero_spectrum():
 # ------------------------------------------------------- functional calculus
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 128])
+def test_assemble_equals_the_two_matmul_form_for_real_eigenvalues(n):
+    # one matmul against the scaled columns of U^{-1}: the GEMM against
+    # diag(lambda) of the two-matmul form adds only exact zeros
+    op = random_operator(n, n=n, delta=0.2 / math.sqrt(n))
+    assert np.array_equal(assemble(op), op.u_inv @ np.diag(op.lambdas) @ op.u)
+
+
 def test_functional_calculus_identity_function():
     op = random_operator(1)
-    assert np.allclose(functional_calculus(op, lambda t: t), assemble(op), atol=1e-12)
+    assert np.array_equal(functional_calculus(op, lambda t: t), assemble(op))
 
 
 def test_functional_calculus_abs_diagonal():
