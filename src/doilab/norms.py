@@ -260,10 +260,22 @@ def power_iteration_pq(S, p, q, x0):
     return vals[0], wits[0], labels[0]
 
 
+# The two closed forms that `opnorms` and `opnorm_uppers` both read. The
+# rows of a contiguous array sum in the order vector_norm sums one vector;
+# a strided one (a transpose, or an F-ordered S) sums in another and moves
+# the last bit.
+def _col_norms(a: np.ndarray, q: float) -> np.ndarray:
+    """q-norm of each column of a = |S|; ||S||_{1->q} is their max."""
+    return _row_norms(np.ascontiguousarray(a.T), q)
+
+
+def _row_dual_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """p*-norm of each row of a = |S|; ||S||_{p->inf} is their max."""
+    return _row_norms(np.ascontiguousarray(a), conjugate_exponent(p))
+
+
 def _exact_p1(S: np.ndarray, q: float) -> NormEstimate:
-    # the rows of a contiguous array sum in the order vector_norm sums one
-    # column; a strided transpose sums in another and moves the last bit
-    vals = _row_norms(np.ascontiguousarray(np.abs(S).T), q)
+    vals = _col_norms(np.abs(S), q)
     k = int(np.argmax(vals))
     w = np.zeros(S.shape[1], dtype=complex)
     w[k] = 1.0
@@ -285,8 +297,7 @@ def _lp_dual_witness(row: np.ndarray, p: float) -> np.ndarray:
 
 
 def _exact_qinf(S: np.ndarray, p: float) -> NormEstimate:
-    # contiguous for the summation order, as in _exact_p1 (S may be F-ordered)
-    vals = _row_norms(np.ascontiguousarray(np.abs(S)), conjugate_exponent(p))
+    vals = _row_dual_norms(np.abs(S), p)
     j = int(np.argmax(vals))
     w = _lp_dual_witness(S[j, :], p)
     return NormEstimate(float(vals[j]), EXACT, w, "exact:q=inf")
@@ -405,7 +416,7 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
     enumeration); otherwise a dense angular-grid lower bound (n <= 4)."""
     p = check_exponent(p)
     q = check_exponent(q)
-    S = np.asarray(S)
+    S = check_matrix(S, "opnorm_bruteforce")
     n = S.shape[1]
     if p == INF:
         if np.iscomplexobj(S) and np.abs(S.imag).max() > 0:
@@ -444,90 +455,70 @@ def _embedding_norm(k: int, r: float, s: float) -> float:
     return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
 
 
-class _UpperAnchors:
-    """The parts of `opnorm_upper` on one matrix S that several pairs
-    (p, q) read: |S|, and sigma_max and the contiguous columns of |S|,
-    each computed on first use."""
-
-    def __init__(self, S: np.ndarray):
-        self.S = S
-        self.a = np.abs(S)
-        self._sigma = None
-        self._cols = None
-
-    def sigma(self) -> float:
-        if self._sigma is None:
-            self._sigma = float(np.linalg.svd(self.S, compute_uv=False)[0])
-        return self._sigma
-
-    # the contiguous rows of |S| and of its transpose sum in the order of
-    # `_exact_qinf` and `_exact_p1`, so these values equal theirs bit for bit
-    def from_one(self, q: float) -> float:
-        """||S||_{1->q}, the max column q-norm."""
-        if self._cols is None:
-            self._cols = np.ascontiguousarray(self.a.T)
-        return float(_row_norms(self._cols, q).max())
-
-    def to_inf(self, p: float) -> float:
-        """||S||_{p->inf}, the max row p*-norm."""
-        return float(_row_norms(np.ascontiguousarray(self.a), conjugate_exponent(p)).max())
-
-
 def opnorm_uppers(S, pairs) -> list[float]:
-    """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S|, sigma_max and
-    the columns of |S| are computed once for all of them, sigma_max and the
-    columns only where some pair reads them. A real S is taken in float64
+    """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S| and sigma_max
+    are computed once for all of them, sigma_max only where some pair off
+    the p = 1 and q = inf branches reads it. A real S is taken in float64
     and a complex one in complex128, so sigma_max is the largest singular
     value in S's own arithmetic, the value np.linalg.norm(S, 2) gives."""
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
     S = np.asarray(S)
     S = check_matrix(S.astype(complex if np.iscomplexobj(S) else float, copy=False), "opnorm_upper")
     m, n = S.shape
-    anchors = _UpperAnchors(S)
-    a = anchors.a
+    a = np.abs(S)
+
+    def from_one(q):
+        return float(_col_norms(a, q).max())
+
+    def to_inf(p):
+        return float(_row_dual_norms(a, p).max())
+
+    sigma = None
     out = []
     for p, q in pairs:
-        if p == q:
-            if p == 1.0:
-                out.append(float(a.sum(axis=0).max()))
-            elif p == INF:
-                out.append(float(a.sum(axis=1).max()))
-            elif p == 2.0:
-                out.append(anchors.sigma())
-            elif p < 2.0:  # 1/p = theta/1 + (1-theta)/2
-                out.append(riesz_thorin(float(a.sum(axis=0).max()), anchors.sigma(), 2.0 / p - 1.0))
-            else:  # 1/p = theta/2
-                out.append(riesz_thorin(anchors.sigma(), float(a.sum(axis=1).max()), 2.0 / p))
-            continue
         if p == 1.0:
-            out.append(anchors.from_one(q))
+            out.append(from_one(q))
             continue
         if q == INF:
-            out.append(anchors.to_inf(p))
+            out.append(to_inf(p))
             continue
-        sigma = anchors.sigma()
-        to_inf = anchors.to_inf(p)
-        bounds = [
-            _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
-            _embedding_norm(n, p, 1.0) * anchors.from_one(q),
-            to_inf * _embedding_norm(m, INF, q),
-            float(a.sum()),
-        ]
-        if p == 2.0 and q > 2.0:
-            bounds.append(riesz_thorin(sigma, to_inf, 2.0 / q))
-        if p < q:
-            pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
-            bounds.append(riesz_thorin(anchors.from_one(1.0), anchors.to_inf(pt), 1.0 / q))
-        out.append(min(bounds))
+        # every other pair reads sigma_max
+        if sigma is None:
+            sigma = float(np.linalg.svd(S, compute_uv=False)[0])
+        if p == q == 2.0:
+            out.append(sigma)
+        elif p == q < 2.0:  # 1/p = theta/1 + (1-theta)/2
+            out.append(riesz_thorin(from_one(1.0), sigma, 2.0 / p - 1.0))
+        elif p == q:  # 1/p = theta/2 + (1-theta)/inf
+            out.append(riesz_thorin(sigma, to_inf(INF), 2.0 / p))
+        else:
+            to_inf_p = to_inf(p)
+            bounds = [
+                _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
+                _embedding_norm(n, p, 1.0) * from_one(q),
+                to_inf_p * _embedding_norm(m, INF, q),
+                float(a.sum()),
+            ]
+            if p == 2.0 and q > 2.0:
+                bounds.append(riesz_thorin(sigma, to_inf_p, 2.0 / q))
+            if p < q:
+                pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
+                bounds.append(riesz_thorin(from_one(1.0), to_inf(pt), 1.0 / q))
+            out.append(min(bounds))
     return out
 
 
 def opnorm_upper(S, p, q) -> float:
     """Certified upper bound on the l_p -> l_q norm of the m x n matrix S.
 
-    At p = q: exact at p in {1, 2, inf}, Riesz-Thorin interpolation between
-    those anchors otherwise, each anchor computed only where it is read.
-    At p != q: exact on the p = 1 and q = inf branches, otherwise the least of
+    On the p = 1 and q = inf branches the anchors are `opnorm`'s exact
+    branches themselves, the max column q-norm and max row p*-norm of |S|,
+    so the bound equals `opnorm(S, p, q).value` bit for bit there. At
+    (2,2) it is sigma_max from LAPACK's value-only SVD, which can differ by
+    a few ulps, either way, from `opnorm(S, 2, 2)`, a full SVD; neither is
+    rounded outward. At other p = q it is Riesz-Thorin interpolation
+    between (2,2) and (1,1) at p < 2, or (inf,inf) at p > 2. At other
+    p != q it is the least of
     - the (2,2) anchor ||I||_{p->2} sigma_max ||I||_{2->q};
     - the (1,q) anchor n^(1-1/p) ||S||_{1->q};
     - the (p,inf) anchor m^(1/q) ||S||_{p->inf};

@@ -194,6 +194,12 @@ def test_opnorm_rejects_empty_and_nonfinite():
         opnorm(np.zeros((0, 0)), 2, 2)
     with pytest.raises(ValueError):
         opnorm([[math.inf]], 2, 2)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        opnorm_bruteforce([[math.nan, 1.0]], 3, 2)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        opnorm_bruteforce([[math.inf, 1.0]], INF, 2)
+    with pytest.raises(ValueError, match="takes a 2-D matrix"):
+        opnorm_bruteforce([1.0, 2.0], 2, 2)
 
 
 # ----------------------------------------------------------- power iteration
@@ -630,13 +636,27 @@ def test_upper_bound_dominates_lower_bound(seed, p):
     assert upper >= lower - 1e-9 * max(1.0, lower)
 
 
-def test_upper_bound_exact_at_anchors():
+ANCHOR_PAIRS = [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.0, INF), (1.5, INF), (2.0, INF), (3.0, INF), (INF, INF)]
+
+
+def _anchor_test_matrices():
+    """Real and complex matrices of 30 random shapes up to 40 x 40, each
+    also F-ordered."""
     rng = np.random.default_rng(3)
-    S = rng.standard_normal((4, 4))
-    assert opnorm_upper(S, 1, 1) == pytest.approx(opnorm(S, 1, 1).value)
-    assert opnorm_upper(S, 2, 2) == pytest.approx(opnorm(S, 2, 2).value)
-    a = np.abs(S)
-    assert opnorm_upper(S, INF, INF) == pytest.approx(a.sum(axis=1).max())
+    for m, n in rng.integers(1, 41, size=(30, 2)).tolist():
+        for S in (rng.standard_normal((m, n)), rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))):
+            yield S
+            yield np.asfortranarray(S)
+
+
+def test_upper_bound_exact_at_anchors():
+    # on the p = 1 and q = inf branches the bound is opnorm's exact value,
+    # (1,1) and (inf,inf) included, read from the same column and row norms
+    for S in _anchor_test_matrices():
+        for (p, q), upper in zip(ANCHOR_PAIRS, opnorm_uppers(S, ANCHOR_PAIRS)):
+            assert upper == opnorm(S, p, q).value, (S.shape, p, q)
+        # sigma_max of a value-only SVD and of the full SVD may differ by ulps
+        assert opnorm_upper(S, 2, 2) == pytest.approx(opnorm(S, 2, 2).value, rel=1e-14)
 
 
 # ------------------------------------------- p -> q upper bound, p != q
