@@ -636,7 +636,11 @@ def test_upper_bound_dominates_lower_bound(seed, p):
     assert upper >= lower - 1e-9 * max(1.0, lower)
 
 
-ANCHOR_PAIRS = [(1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.0, INF), (1.5, INF), (2.0, INF), (3.0, INF), (INF, INF)]
+# pairs on the p = 1 and q = inf branches, the p = q corners included
+ANCHOR_PAIRS = [
+    (1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.0, INF),
+    (1.5, INF), (2.0, INF), (3.0, INF), (INF, INF),
+]
 
 
 def _anchor_test_matrices():

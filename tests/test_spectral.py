@@ -67,15 +67,15 @@ def test_assemble_zero_spectrum():
     assert np.allclose(assemble(zero), 0.0)
 
 
-# ------------------------------------------------------- functional calculus
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 128])
 def test_assemble_equals_the_two_matmul_form_for_real_eigenvalues(n):
     # one matmul against the scaled columns of U^{-1}: the GEMM against
     # diag(lambda) of the two-matmul form adds only exact zeros
     op = random_operator(n, n=n, delta=0.2 / math.sqrt(n))
     assert np.array_equal(assemble(op), op.u_inv @ np.diag(op.lambdas) @ op.u)
+
+
+# ------------------------------------------------------- functional calculus
 
 
 def test_functional_calculus_identity_function():
