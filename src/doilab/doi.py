@@ -14,7 +14,7 @@ callers that normalize by K_A K_B compute the constants themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class CommutatorReport:
     ratio_lower: float
     identity_residual: float
     norms_meta: dict
+    phi: np.ndarray = field(compare=False)  # Phi_f, as the identity applies it
 
 
 def commutator_transform(
@@ -94,6 +95,7 @@ def commutator_transform(
                 ratio_lower=math.inf if flagged else lhs.value / rhs_upper,
                 identity_residual=float(np.abs(d1 - d2).max()),
                 norms_meta={"lhs": lhs.certainty, "rhs": rhs.certainty},
+                phi=phi,
             )
         )
     return reports

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorm_uppers, opnorms
-from .schur import abs_divided_difference, multiplier_norms, standard_truncation_mask
+from .schur import multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
@@ -341,7 +341,7 @@ def _commutator_rows(item) -> list:
     # with C a unit matrix at argmax|phi| achieves the ratio
     # max|phi_f| exactly, so the per-trial estimate is the better
     # of the two.
-    phi = np.abs(abs_divided_difference(a.lambdas, b.lambdas))
+    phi = np.abs(rep.phi)
     phi[b.lambdas[:, None] == a.lambdas[None, :]] = 0.0  # no witness there
     # ratio_lower divides by an upper bound on ||BS - SA|| where that
     # norm has no exact branch, and dividing by a K that is only an

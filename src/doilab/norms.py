@@ -450,11 +450,6 @@ def riesz_thorin(x0: float, x1: float, theta: float) -> float:
     return x0**theta * x1 ** (1.0 - theta)
 
 
-def _embedding_norm(k: int, r: float, s: float) -> float:
-    """||I||_{l_r^k -> l_s^k} = k^max(0, 1/s - 1/r)."""
-    return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
-
-
 def opnorm_uppers(S, pairs) -> list[float]:
     """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S| and sigma_max
     are computed once for all of them, sigma_max only where some pair off
@@ -492,15 +487,15 @@ def opnorm_uppers(S, pairs) -> list[float]:
         elif p == q:  # 1/p = theta/2 + (1-theta)/inf
             out.append(riesz_thorin(sigma, to_inf(INF), 2.0 / p))
         else:
-            to_inf_p = to_inf(p)
+            rows = _row_dual_norms(a, p)
             bounds = [
-                _embedding_norm(n, p, 2.0) * sigma * _embedding_norm(m, 2.0, q),
-                _embedding_norm(n, p, 1.0) * from_one(q),
-                to_inf_p * _embedding_norm(m, INF, q),
-                float(a.sum()),
+                # ||I||_{p->2} sigma_max ||I||_{2->q}, with ||I||_{r->s} = k^max(0, 1/s - 1/r) on l^k
+                float(n) ** max(0.0, 0.5 - 1.0 / p) * sigma * float(m) ** max(0.0, 1.0 / q - 0.5),
+                float(_row_norms(_col_norms(a, q)[None], conjugate_exponent(p))[0]),
+                float(_row_norms(rows[None], q)[0]),
             ]
             if p == 2.0 and q > 2.0:
-                bounds.append(riesz_thorin(sigma, to_inf_p, 2.0 / q))
+                bounds.append(riesz_thorin(sigma, float(rows.max()), 2.0 / q))
             if p < q:
                 pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
                 bounds.append(riesz_thorin(from_one(1.0), to_inf(pt), 1.0 / q))
@@ -520,9 +515,9 @@ def opnorm_upper(S, p, q) -> float:
     between (2,2) and (1,1) at p < 2, or (inf,inf) at p > 2. At other
     p != q it is the least of
     - the (2,2) anchor ||I||_{p->2} sigma_max ||I||_{2->q};
-    - the (1,q) anchor n^(1-1/p) ||S||_{1->q};
-    - the (p,inf) anchor m^(1/q) ||S||_{p->inf};
-    - the (inf,1) corner sum |s_kj|, through ||I||_{p->inf} = ||I||_{1->q} = 1;
+    - the Hoelder forms ||(||col_j||_q)_j||_{p*} and ||(||row_i||_{p*})_i||_q, from
+      ||Sx||_q <= sum_j |x_j| ||col_j||_q and |(Sx)_i| <= ||row_i||_{p*} ||x||_p;
+      at p = 1 the first, and at q = inf the second, is the exact branch;
     - at p = 2 < q, Riesz-Thorin on the segment from (2,2) to (2,inf),
       sigma_max^(2/q) ||S||_{2->inf}^(1-2/q), valid for complex scalars;
     - at p < q, Riesz-Thorin on the segment from the (1,1) corner to the

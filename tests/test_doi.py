@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from doilab.doi import abs_kernel_constant, commutator_transform, sobolev_weight_norm
 from doilab.norms import SearchConfig, opnorm_upper
-from doilab.schur import abs_divided_difference, schur_product, standard_truncation_mask
+from doilab.schur import abs_divided_difference, divided_difference_matrix, schur_product, standard_truncation_mask
 from doilab.spectral import DiagonalizableOperator, assemble
 
 
@@ -119,7 +119,11 @@ def test_transform_of_several_functions_equals_one_function_transforms(p, q):
     cfg = SearchConfig(multistarts=4, seed=9)
     fs = (abs, lambda t: t, lambda t: np.sin(t))
     reports = commutator_transform(a, b, S, fs, p, q, cfg)
-    assert reports == [commutator_transform(a, b, S, [f], p, q, cfg)[0] for f in fs]
+    alone = [commutator_transform(a, b, S, [f], p, q, cfg)[0] for f in fs]
+    assert reports == alone
+    for f, rep, one in zip(fs, reports, alone):
+        assert np.array_equal(rep.phi, one.phi)
+        assert np.array_equal(rep.phi, divided_difference_matrix(f, a.lambdas, b.lambdas, 1.0))
 
 
 @settings(deadline=None, max_examples=30)

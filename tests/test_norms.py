@@ -663,6 +663,27 @@ def test_upper_bound_exact_at_anchors():
         assert opnorm_upper(S, 2, 2) == pytest.approx(opnorm(S, 2, 2).value, rel=1e-14)
 
 
+# Neither side of these comparisons is rounded outward yet (ROADMAP item 2),
+# so each fails by some ulps on many matrices of its set; the marker goes
+# once item 2 lands, since xfail_strict fails a test that passes
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 2: sigma_max is not rounded up")
+def test_the_22_upper_bound_is_at_least_the_full_svd_value():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        m, n = rng.integers(2, 40, size=2).tolist()
+        S = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        assert opnorm_upper(S, 2, 2) >= opnorm(S, 2, 2).value, ("ROADMAP item 2", S.shape)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 2: power-iteration values are not rounded down")
+def test_a_power_iteration_value_is_at_most_the_exact_upper_bound_on_one_row():
+    # at m = 1 the Hoelder row form is the exact norm ||row||_{p*}
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        S = rng.standard_normal((1, int(rng.integers(2, 6))))
+        assert opnorm(S, 3.0, 1.5).value <= opnorm_upper(S, 3.0, 1.5), ("ROADMAP item 2", S)
+
+
 # ------------------------------------------- p -> q upper bound, p != q
 
 MIXED_PAIRS = [(2.0, 4.0), (3.0, 1.5), (1.5, 3.0), (2.5, 2.0), (2.0, 1.5), (4.0, 2.0)]
@@ -670,8 +691,7 @@ SHAPES = [(4, 4), (3, 5), (6, 2), (1, 4), (4, 1)]
 
 
 def _upper_test_matrices(seed):
-    """Complex, real and sparse matrices of every shape in SHAPES; the
-    sparse ones make the (inf,1) corner the least bound at some pairs."""
+    """Complex, real and sparse matrices of every shape in SHAPES."""
     rng = np.random.default_rng(seed)
     for shape in SHAPES:
         yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -679,11 +699,23 @@ def _upper_test_matrices(seed):
         yield rng.standard_normal(shape) * (rng.random(shape) < 0.3)
 
 
+def _hoelder_test_matrices(seed):
+    """A complex rank-one matrix plus 5% complex noise, and a real constant
+    matrix, of every shape in SHAPES: the Hoelder forms win on the first,
+    and on the second each equals an old anchor in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    for shape in SHAPES:
+        u = rng.standard_normal((shape[0], 1)) + 1j * rng.standard_normal((shape[0], 1))
+        v = rng.standard_normal((1, shape[1])) + 1j * rng.standard_normal((1, shape[1]))
+        yield u @ v + 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        yield np.full(shape, rng.standard_normal())
+
+
 @pytest.mark.parametrize("p, q", MIXED_PAIRS)
 def test_opnorm_upper_dominates_a_strong_search(p, q, monkeypatch):
     monkeypatch.setattr(norms, "MAX_ITER", 2000)
     cfg = SearchConfig(multistarts=64, seed=5)
-    for S in _upper_test_matrices(11):
+    for S in [*_upper_test_matrices(11), *_hoelder_test_matrices(11)]:
         lower = opnorm(S, p, q, cfg).value
         assert opnorm_upper(S, p, q) >= lower * (1.0 - 1e-12)
 
@@ -727,26 +759,69 @@ def test_opnorm_upper_closed_forms_off_the_diagonal():
     assert opnorm_upper(np.zeros((2, 3)), 3.0, 1.5) == 0.0
 
 
-def _opnorm_upper_without_the_corner_segment(S, p, q) -> float:
-    """`opnorm_upper` at 1 < p < q < inf from its other anchors alone,
-    written out from sigma_max and the exact branches of `opnorm`."""
-    S = np.asarray(S, dtype=complex)
+def _emb(k, r, s) -> float:
+    return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
+
+
+def _opnorm_upper_with_the_old_anchors(S, p, q) -> float:
+    """`opnorm_upper` at 1 < p, q < inf, p != q, as it was before the two
+    Hoelder forms: the (2,2) anchor, the (1,q) anchor n^(1-1/p) ||S||_{1->q},
+    the (p,inf) anchor m^(1/q) ||S||_{p->inf}, the (inf,1) corner sum
+    |s_kj| and both segments, written out from sigma_max (in S's own
+    arithmetic) and the exact branches of `opnorm`."""
     m, n = S.shape
-
-    def emb(k, r, s):
-        return float(k) ** max(0.0, 1.0 / s - 1.0 / r)
-
     sigma = float(np.linalg.svd(S, compute_uv=False)[0])
     to_inf = opnorm(S, p, INF).value
     bounds = [
-        emb(n, p, 2.0) * sigma * emb(m, 2.0, q),
-        emb(n, p, 1.0) * opnorm(S, 1.0, q).value,
-        to_inf * emb(m, INF, q),
+        _emb(n, p, 2.0) * sigma * _emb(m, 2.0, q),
+        _emb(n, p, 1.0) * opnorm(S, 1.0, q).value,
+        to_inf * _emb(m, INF, q),
         float(np.abs(S).sum()),
     ]
-    if p == 2.0:
-        bounds.append(sigma ** (2.0 / q) * to_inf ** (1.0 - 2.0 / q))
+    if p == 2.0 and q > 2.0:
+        bounds.append(norms.riesz_thorin(sigma, to_inf, 2.0 / q))
+    if p < q:
+        pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
+        bounds.append(norms.riesz_thorin(opnorm(S, 1.0, 1.0).value, opnorm(S, pt, INF).value, 1.0 / q))
     return min(bounds)
+
+
+def _opnorm_upper_without_the_corner_segment(S, p, q) -> float:
+    """`opnorm_upper` at 1 < p < q < inf from its other bounds alone: the
+    (2,2) anchor, the two Hoelder forms and, at p = 2, the segment to
+    (2,inf), written out from sigma_max and per-row `vector_norm`s."""
+    m, n = S.shape
+    sigma = float(np.linalg.svd(S, compute_uv=False)[0])
+    col_q = [vector_norm(col, q) for col in S.T]
+    row_pstar = [vector_norm(row, conjugate_exponent(p)) for row in S]
+    bounds = [
+        _emb(n, p, 2.0) * sigma * _emb(m, 2.0, q),
+        vector_norm(col_q, conjugate_exponent(p)),
+        vector_norm(row_pstar, q),
+    ]
+    if p == 2.0:
+        bounds.append(sigma ** (2.0 / q) * max(row_pstar) ** (1.0 - 2.0 / q))
+    return min(bounds)
+
+
+HOELDER_PAIRS = [*MIXED_PAIRS, (1.25, 1.5), (1.1, 7.0)]
+
+
+def test_the_hoelder_forms_never_raise_the_bound_by_more_than_two_ulps():
+    # in exact arithmetic they dominate the three anchors they replace; in
+    # floating point a form equal to an old anchor (a constant matrix, where
+    # 1/p* and 1 - 1/p round differently) can read a few ulps above it
+    for S in [*_upper_test_matrices(25), *_hoelder_test_matrices(25)]:
+        for p, q in HOELDER_PAIRS:
+            old = _opnorm_upper_with_the_old_anchors(S, p, q)
+            assert opnorm_upper(S, p, q) <= np.nextafter(np.nextafter(old, INF), INF), (S.shape, p, q)
+
+
+def test_the_hoelder_forms_lower_the_bound_on_rank_one_plus_noise():
+    # equal on the 1 x 4 and 4 x 1 shapes, where each form is an old anchor
+    rank_one = [S for S in _hoelder_test_matrices(25) if np.iscomplexobj(S)]
+    lower = [opnorm_upper(S, 1.5, 3.0) < _opnorm_upper_with_the_old_anchors(S, 1.5, 3.0) for S in rank_one]
+    assert sum(lower) > len(lower) / 2, lower
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (2.0, 3.0), (2.0, 4.0)])
@@ -761,12 +836,11 @@ def test_opnorm_upper_corner_segment_lies_between_a_search_and_the_other_anchors
 
 
 def test_opnorm_upper_corner_segment_is_the_least_bound():
-    assert any(
-        opnorm_upper(S, 1.5, 3.0) < _opnorm_upper_without_the_corner_segment(S, 1.5, 3.0)
-        for S in _upper_test_matrices(15)
-    )
-    # the truncated Hilbert-type matrix at n = 128, whose bound at (2,4)
-    # decides whether multiplier_norms searches that witness
+    # on the identity at (1.25,1.5) the segment reads the norm, 1, and each
+    # other bound reads 4^(1/6) or more
+    assert opnorm_upper(np.eye(4), 1.25, 1.5) == 1.0 < _opnorm_upper_without_the_corner_segment(np.eye(4), 1.25, 1.5)
+    # the truncated Hilbert-type matrix at n = 128 (multiplier_norms no
+    # longer searches that witness; the bench's floor check still builds it)
     n = 128
     S = schur.standard_truncation_mask(n, n, n) * schur.hilbert_type_witness(n, n)
     assert opnorm_upper(S, 2.0, 4.0) / _opnorm_upper_without_the_corner_segment(S, 2.0, 4.0) == pytest.approx(
@@ -798,9 +872,9 @@ def test_opnorm_upper_at_p_equals_q_is_pinned():
 # and p > q
 OFF_DIAGONAL_PAIRS = [(1.0, 3.0), (1.5, INF), (1.5, 3.0), (2.0, 4.0), (2.0, 3.0), (3.0, 1.5), (4.0, 2.0)]
 OFF_DIAGONAL_PINS = {
-    (4, 4): ["0x1.4f5508d014752p+1", "0x1.a8001995c5959p+1", "0x1.0a273fbce8e27p+2", "0x1.2281f97c23e07p+2",
+    (4, 4): ["0x1.4f5508d014752p+1", "0x1.a8001995c5959p+1", "0x1.0089b227f3fa8p+2", "0x1.2281f97c23e07p+2",
              "0x1.2adf06aca89a2p+2", "0x1.f6237404107a8p+2", "0x1.bf5ac2e23b44ep+2"],
-    (3, 5): ["0x1.ecefdc57a8f09p+0", "0x1.3cf933d5ee464p+1", "0x1.a57485f337903p+1", "0x1.b37e52075d955p+1",
+    (3, 5): ["0x1.ecefdc57a8f09p+0", "0x1.3cf933d5ee464p+1", "0x1.836c7463ccb99p+1", "0x1.b37e52075d955p+1",
              "0x1.bc33a760de251p+1", "0x1.6ae13d4b2eadfp+2", "0x1.5988922975de3p+2"],
 }
 
