@@ -14,14 +14,14 @@ import os
 import sys
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorm_uppers, opnorms
 from .schur import multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
-from .doi import commutator_transform
+from .doi import RHS_ZERO_CUTOFF, commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
 
 # rejection sampling of an operator: its interpolation bound on K must be
@@ -58,7 +58,7 @@ class ExperimentConfig:
     dims: list = field(default_factory=lambda: [2, 4, 8, 16])
     pq_pairs: list = field(default_factory=lambda: [(1.0, 2.0), (1.0, INF), (2.0, 2.0)])
     trials: int = 20
-    search: SearchConfig = field(default_factory=SearchConfig)
+    restarts: int = SearchConfig().multistarts
     output_path: str = "results.csv"
 
 
@@ -119,7 +119,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         s = d["search"]
         _check_keys(s, {"restarts"}, "search")
         if "restarts" in s:
-            cfg.search.multistarts = _parse_int(s["restarts"], "search.restarts", 1)
+            cfg.restarts = _parse_int(s["restarts"], "search.restarts", 1)
     if "output_path" in d:
         if not isinstance(d["output_path"], str) or not d["output_path"]:
             raise ConfigError(f"output_path must be a nonempty string, got {d['output_path']!r}")
@@ -189,7 +189,7 @@ def _trial(cfg: ExperimentConfig, label: str, p: float, q: float, n: int, trial:
     seed_used = _trial_seed(cfg.seed, label, p, q, n, trial)
     return _Trial(
         label, n, p, q, trial, seed_used,
-        replace(cfg.search, seed=seed_used), np.random.default_rng(seed_used),
+        SearchConfig(cfg.restarts, seed_used), np.random.default_rng(seed_used),
     )
 
 
@@ -403,11 +403,11 @@ def run_p2q2_mixed(cfg: ExperimentConfig) -> list:
         m2s = opnorms(mids, 2.0 + MIXED_EPS, 2.0, searches)
         for t, lhs_t, mid, m1, m2 in zip(trials, lhs, mids, m1s, m2s):
             best = min(m1.value, m2.value)
-            implied = lhs_t.value / best if best > 1e-14 else math.inf
+            implied = lhs_t.value / best if best > RHS_ZERO_CUTOFF else math.inf
             # any C with lhs <= C min(mixed norms) is at least the exact lhs
             # over the smaller certified upper bound on a mixed norm
             upper = min(opnorm_uppers(mid, [(2.0, 2.0 - MIXED_EPS), (2.0 + MIXED_EPS, 2.0)]))
-            implied_lower = lhs_t.value / upper if upper > 1e-14 else math.inf
+            implied_lower = lhs_t.value / upper if upper > RHS_ZERO_CUTOFF else math.inf
             rows.append(t.row("lhs_norm", lhs_t.value, lhs_t.certainty))
             rows.append(t.row("mixed_2_to_2meps", m1.value, m1.certainty))
             rows.append(t.row("mixed_2peps_to_2", m2.value, m2.certainty))
@@ -607,6 +607,7 @@ def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
             "dims": cfg.dims,
             "pq_pairs": [[_fmt_exp(p), _fmt_exp(q)] for p, q in cfg.pq_pairs],
             "trials": cfg.trials,
+            "restarts": cfg.restarts,
             "eps": MIXED_EPS,
             "tol": IDENTITY_TOL,
         },

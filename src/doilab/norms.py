@@ -108,7 +108,7 @@ def vector_norm(x, p) -> float:
 
 @dataclass
 class SearchConfig:
-    """Knobs for the heuristic norm searches; deterministic per seed. Every run uses SearchConfig()."""
+    """Knobs for the heuristic norm searches; an experiment trial uses SearchConfig(restarts, seed_used)."""
 
     multistarts: int = 8
     seed: int = 0
@@ -179,15 +179,15 @@ def _matvecs(ops, v) -> np.ndarray:
     return np.matmul(ops, v[:, :, None])[..., 0]
 
 
-def _power_block(mats, owner, x0, p, q, max_iter):
+def _power_block(mats, owner, x0, p, q):
     """Alternating maximization of ||S x||_q over the unit p-ball for a
     (k, n) block of starts x0, row r iterating with S = mats[owner[r]].
 
     The matvecs of the active rows run as one batched matmul, and every
-    elementwise step runs once on the rows still active. A row leaves at
-    the iteration where its own objective stops rising, so each row
-    follows exactly the path that a single-start iteration from it would.
-    Returns per-row lists of values, witnesses and method labels.
+    elementwise step runs once on the rows still active. One stop rule: a
+    row leaves at its first step whose value rises by less than SEARCH_TOL
+    (relative), or after MAX_ITER steps, so it follows exactly the path of
+    a single-start iteration. Returns per-row values, witnesses and labels.
     """
     pstar = conjugate_exponent(p)
     xn = _row_norms(np.abs(x0), p)
@@ -208,18 +208,16 @@ def _power_block(mats, owner, x0, p, q, max_iter):
     y = _matvecs(ops, x)
     a = np.abs(y)
     val = _row_norms(a, q)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if act.size == 0:
             break
         z = _matvecs(ops.swapaxes(-1, -2), _dual_rows(y, a, q))
         xd = _dual_rows(z, np.abs(z), pstar)
         nn = _row_norms(np.abs(xd), p)
         if not nn.all():
+            # a vanished dual step: the row steps to its own x, so its value does not rise
             out = nn == 0.0
-            best[act[out]], best_x[act[out]] = val[out], x[out]
-            act, x, val, xd, nn = act[~out], x[~out], val[~out], xd[~out], nn[~out]
-            if ops.ndim == 3:
-                ops = ops[~out]
+            xd[out], nn[out] = x[out], 1.0
         x_new = xd / nn[:, None]
         y = _matvecs(ops, x_new)
         a = np.abs(y)
@@ -256,7 +254,7 @@ def power_iteration_pq(S, p, q, x0):
     if p == 1.0 or q == INF:
         raise ExponentError("power_iteration_pq handles 1 < p <= inf, q < inf")
     x0 = np.asarray(x0, dtype=complex).reshape(1, -1)
-    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q, MAX_ITER)
+    vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q)
     return vals[0], wits[0], labels[0]
 
 
@@ -368,12 +366,11 @@ def opnorms(mats, p, q, cfg: SearchConfig | Sequence[SearchConfig] | None = None
         return [_exact_22(S) for S in mats]
     if not mats:
         return []
-    first = _start_vectors(mats[0].shape, cfgs[0])
-    starts = [first if c is cfgs[0] else _start_vectors(mats[0].shape, c) for c in cfgs]
+    starts = [_start_vectors(S.shape, c) for S, c in zip(mats, cfgs)]
     sizes = [len(x) for x in starts]
     owner = np.repeat(np.arange(len(mats)), sizes)
     ends = np.cumsum(sizes).tolist()
-    vals, wits, labels = _power_block(mats, owner, np.concatenate(starts), p, q, MAX_ITER)
+    vals, wits, labels = _power_block(mats, owner, np.concatenate(starts), p, q)
     out = []
     for lo, hi in zip([0, *ends[:-1]], ends):
         r = max(range(lo, hi), key=vals.__getitem__)  # first best start

@@ -274,8 +274,9 @@ def multiplier_norms(M, pairs, cfg: SearchConfig | Sequence[SearchConfig] | None
     pairs = [(check_exponent(p), check_exponent(q)) for p, q in pairs]
     cfgs = search_configs(cfg, len(pairs), "multiplier_norms", "pairs")
     M = check_matrix(M, "multiplier_norm", "mask")
-    maxmod = float(np.abs(M).max())
-    kj = np.unravel_index(int(np.abs(M).argmax()), M.shape)
+    absm = np.abs(M)
+    maxmod = float(absm.max())
+    kj = np.unravel_index(int(absm.argmax()), M.shape)
     unit = np.zeros(M.shape, dtype=complex)
     unit[kj] = 1.0
     exact = [p == 1.0 or q == INF for p, q in pairs]

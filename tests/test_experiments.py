@@ -57,7 +57,7 @@ def test_config_from_dict_roundtrip():
     )
     assert cfg == replace(
         ExperimentConfig(), seed=99, dims=[2, 4], pq_pairs=[(1.0, 2.0), (2.0, INF)], trials=3,
-        search=replace(ExperimentConfig().search, multistarts=4), output_path="out.csv",
+        restarts=4, output_path="out.csv",
     )
 
 
@@ -292,7 +292,7 @@ def test_determinism_of_run_all():
 def test_write_outputs_creates_csv_and_summary(tmp_path):
     rows = run_truncation_growth(ExperimentConfig(seed=1, dims=[2, 4], pq_pairs=[(1.0, 1.0)], trials=1))
     out = tmp_path / "res.csv"
-    path = write_outputs(rows, SMALL, str(out))
+    path = write_outputs(rows, replace(SMALL, restarts=3), str(out))
     assert path == str(out)
     text = out.read_text()
     assert text.startswith(CSV_HEADER)
@@ -301,6 +301,8 @@ def test_write_outputs_creates_csv_and_summary(tmp_path):
     assert "(1,1)" in summary["fits"]
     # the mixed eps and the identity tolerance are constants, still recorded
     assert (summary["config"]["eps"], summary["config"]["tol"]) == (0.5, 1e-9)
+    # every power-iteration row depends on the number of restarts
+    assert summary["config"]["restarts"] == 3
 
 
 # ----------------------------------------------------------------------- CLI
@@ -620,7 +622,7 @@ def test_truncation_growth_lower_rows_take_the_largest_value_at_every_smaller_n(
     assert {n: norms[2.0, 2.0, n].value for n in cfg.dims} == {8: 3.0, 2: 2.0, 4: 2.0}
     assert {norms[1.0, 1.0, n].certainty for n in cfg.dims} == {"exact"}
     uppers = {r.n: r.value for r in rows if r.metric == "multiplier_norm_upper"}
-    assert uppers == {n: search(np.triu(np.ones((n, n))), [(2.0, 2.0)], cfg.search)[0].upper for n in cfg.dims}
+    assert uppers == {n: search(np.triu(np.ones((n, n))), [(2.0, 2.0)])[0].upper for n in cfg.dims}
     slope = [r.value for r in rows if (r.p, r.q, r.metric) == (2.0, 2.0, "fit_slope")]
     assert slope == [experiments._fit_log(cfg.dims, [3.0, 2.0, 2.0])[0]]
 

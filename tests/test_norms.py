@@ -383,7 +383,7 @@ def test_power_block_matches_single_start_loop(p, q, monkeypatch):
             k = int(rng.integers(1, 13))
             starts = rng.standard_normal((k, S.shape[1])) + 1j * rng.standard_normal((k, S.shape[1]))
             starts[0] = 1.0
-            vals, wits, labels = norms._power_block([S], np.zeros(k, int), starts, p, q, max_iter)
+            vals, wits, labels = norms._power_block([S], np.zeros(k, int), starts, p, q)
             iters = set()
             for r in range(k):
                 val, w, lab, it = _ref_power_iteration(S, p, q, starts[r], SEARCH_TOL, max_iter)
@@ -403,9 +403,9 @@ def test_power_block_rows_with_different_matrices():
     rng = np.random.default_rng(2)
     owner = np.array([0, 2, 1, 0, 2, 2])
     starts = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    vals, wits, labels = norms._power_block(mats, owner, starts, 3.0, 1.5, 300)
+    vals, wits, labels = norms._power_block(mats, owner, starts, 3.0, 1.5)
     for r, i in enumerate(owner):
-        ref = _ref_power_iteration(mats[i], 3.0, 1.5, starts[r], SEARCH_TOL, 300)
+        ref = _ref_power_iteration(mats[i], 3.0, 1.5, starts[r], SEARCH_TOL, norms.MAX_ITER)
         assert _same((vals[r], wits[r], labels[r]), ref[:3])
 
 
@@ -489,7 +489,8 @@ def test_opnorms_rejects_mismatched_configs(cfgs):
 
 def test_every_run_searches_with_the_default_config_up_to_max_iter(monkeypatch):
     assert [f.name for f in dataclasses.fields(SearchConfig)] == ["multistarts", "seed"]
-    assert ExperimentConfig().search == SearchConfig() == SearchConfig(multistarts=8, seed=0)
+    assert SearchConfig() == SearchConfig(multistarts=8, seed=0)
+    assert ExperimentConfig().restarts == SearchConfig().multistarts
     assert norms.MAX_ITER == schur.MAX_ITER == 300
     # with the caps lowered, the power iteration stops after MAX_ITER steps
     # (two matvecs each, after the start's one) and the S_1 alternation

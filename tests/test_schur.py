@@ -1,7 +1,6 @@
 import functools
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,7 +285,7 @@ def _direct_estimate(seed, p, q, n):
     """`multiplier_norm` on the n x n staircase with the search of the
     truncation row at n."""
     row = _truncation_rows(seed)[p, q, n]
-    return multiplier_norm(standard_truncation_mask(n, n, n), p, q, replace(_truncation_config(seed).search, seed=row.seed_used))
+    return multiplier_norm(standard_truncation_mask(n, n, n), p, q, SearchConfig(_truncation_config(seed).restarts, row.seed_used))
 
 
 def test_truncation_rows_are_the_largest_estimate_at_every_smaller_n():
