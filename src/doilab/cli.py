@@ -45,11 +45,13 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def check_output_path(path: str):
-    """Raise ConfigError unless `path` is not a directory and its directory
-    exists and is writable, so that a run learns before it computes any
-    row that it could not save them."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write output: {path} is a directory")
+    """Raise ConfigError unless neither `path` nor its summary
+    `<path>.summary.json` is a directory and their directory exists and is
+    writable, so that a run learns before it computes any row that it
+    could not save them."""
+    for target in (path, path + ".summary.json"):
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write output: {target} is a directory")
     if not os.access(os.path.dirname(path) or ".", os.W_OK):
         raise ConfigError(f"cannot write output: the directory of {path} is missing or not writable")
 

@@ -74,7 +74,6 @@ def commutator_transform(
     """
     p = check_exponent(p)
     q = check_exponent(q)
-    cfg = cfg or SearchConfig()
     S = np.asarray(S, dtype=complex)
     comm = assemble(b) @ S - S @ assemble(a)
     rhs = opnorm(comm, p, q, cfg)

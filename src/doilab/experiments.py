@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, opnorm, opnorm_upper, opnorm_uppers, opnorms
+from .norms import (
+    EXACT, INF, LOWER_BOUND, UPPER_BOUND, SearchConfig, check_exponent, opnorm, opnorm_upper, opnorm_uppers, opnorms,
+)
 from .schur import multiplier_norms, standard_truncation_mask
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 from .doi import RHS_ZERO_CUTOFF, commutator_transform
@@ -63,8 +65,8 @@ class ExperimentConfig:
 
 
 def _parse_exponent(v) -> float:
-    """A JSON number in [1, inf], or the string "inf" or "infinity" in any
-    case; anything else is a ConfigError."""
+    """A JSON number that `check_exponent` accepts, or the string "inf" or
+    "infinity" in any case; anything else is a ConfigError."""
     if isinstance(v, str):
         if v.lower() in ("inf", "infinity"):
             return INF
@@ -72,12 +74,9 @@ def _parse_exponent(v) -> float:
     if isinstance(v, bool):
         raise ConfigError(f"exponent {v!r} is not a number")
     try:
-        v = float(v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"exponent {v!r} is not a number") from exc
-    if not v >= 1.0:  # also rejects nan
-        raise ConfigError(f"exponent {v} outside [1, inf]")
-    return v
+        return check_exponent(v)
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float overflows
+        raise ConfigError(f"exponent {v!r}: {exc}") from exc
 
 
 def _parse_int(v, key: str, minimum: int | None = None) -> int:
@@ -277,9 +276,11 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
 
 
 def _sample_controlled_operator(rng, n, p):
-    """lambda uniform on [-1, 1]; U = I + delta G rejection-sampled (via
-    the interpolation upper bound) so that the diagonalizability constant
-    is at most K_TARGET."""
+    """lambda uniform on [-1, 1]; U = I + delta G rejection-sampled so that
+    opnorm_upper(U) opnorm_upper(U^{-1}), an upper bound on the
+    diagonalizability constant, is at most K_TARGET. Each factor is an
+    exact closed form at p in {1, 2, inf} and a Riesz-Thorin
+    interpolation at interior p."""
     lam = rng.uniform(-1.0, 1.0, size=n)
     delta = 0.3 / math.sqrt(n)
     for _ in range(SAMPLING_ATTEMPTS):

@@ -30,18 +30,11 @@ LOWER_BOUND = "lower_bound"
 UPPER_BOUND = "upper_bound"
 
 
-class ExponentError(ValueError):
-    """Raised when an exponent is outside [1, inf]."""
-
-
-class CapacityError(ValueError):
-    """Raised when a brute-force mode is asked for a dimension it cannot afford."""
-
-
 def check_exponent(p) -> float:
+    """p as a float in [1, inf]: the one exponent rule of the package."""
     p = float(p)
     if math.isnan(p) or p < 1.0:
-        raise ExponentError(f"exponent must lie in [1, inf], got {p}")
+        raise ValueError(f"exponent must lie in [1, inf], got {p}")
     return p
 
 
@@ -252,7 +245,7 @@ def power_iteration_pq(S, p, q, x0):
     p = check_exponent(p)
     q = check_exponent(q)
     if p == 1.0 or q == INF:
-        raise ExponentError("power_iteration_pq handles 1 < p <= inf, q < inf")
+        raise ValueError("power_iteration_pq handles 1 < p <= inf, q < inf")
     x0 = np.asarray(x0, dtype=complex).reshape(1, -1)
     vals, wits, labels = _power_block([np.asarray(S, dtype=complex)], [0], x0, p, q)
     return vals[0], wits[0], labels[0]
@@ -419,7 +412,7 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
         if np.iscomplexobj(S) and np.abs(S.imag).max() > 0:
             raise ValueError("p=inf brute force requires a real matrix")
         if n > 20:
-            raise CapacityError("sign enumeration limited to n <= 20")
+            raise ValueError("sign enumeration limited to n <= 20")
         Sr = S.real.astype(float)
         best_val, best_x = -1.0, None
         for x in _sign_vectors(n):
@@ -428,7 +421,7 @@ def opnorm_bruteforce(S, p, q, resolution: int = 64) -> NormEstimate:
                 best_val, best_x = v, x
         return NormEstimate(float(best_val), EXACT, best_x.astype(complex), "bruteforce:signs")
     if n > 4:
-        raise CapacityError("grid search limited to n <= 4")
+        raise ValueError("grid search limited to n <= 4")
     pts = _angular_grid(n, resolution)
     # p-normalize each direction, evaluate all at once
     pn = _row_norms(np.abs(pts), p)

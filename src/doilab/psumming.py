@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import EXACT, INF, UPPER_BOUND, SearchConfig, check_exponent, conjugate_exponent, opnorm, vector_norm
+from .norms import EXACT, INF, UPPER_BOUND, check_exponent, conjugate_exponent, opnorm, vector_norm
 from .schur import divided_difference_matrix
 from .spectral import DiagonalizableOperator, assemble, diagonalizability_constant, functional_calculus
 
@@ -34,7 +34,7 @@ def pi_p_norm(S, ctx: PSummingContext) -> float:
     return vector_norm(S.ravel(), ctx.p)
 
 
-def psumming_definition_ratio(S, ctx: PSummingContext, collection, cfg: SearchConfig | None = None) -> dict:
+def psumming_definition_ratio(S, ctx: PSummingContext, collection) -> dict:
     """The two sides of the summing inequality for a finite collection of
     vectors: lhs = (sum_j ||S x_j||_p^p)^(1/p), weak_norm = the p -> p
     norm of the matrix with rows x_j."""
@@ -43,7 +43,7 @@ def psumming_definition_ratio(S, ctx: PSummingContext, collection, cfg: SearchCo
         raise ValueError("empty collection")
     lhs = vector_norm([vector_norm(S @ np.asarray(x), ctx.p) for x in collection], ctx.p)
     rows = np.asarray([np.asarray(x, dtype=complex) for x in collection])
-    weak = opnorm(rows, ctx.p, ctx.p, cfg).value
+    weak = opnorm(rows, ctx.p, ctx.p).value
     return {
         "lhs": lhs,
         "weak_norm": weak,

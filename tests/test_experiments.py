@@ -32,6 +32,8 @@ from doilab.experiments import (
     run_psumming_check,
     run_truncation_growth,
     write_outputs,
+    _complex_gaussian,
+    _sample_controlled_operator,
     _trial_seed,
     _worker_count,
 )
@@ -76,6 +78,7 @@ def test_config_rejects_unknown_keys():
         # the only exponent strings are "inf" and "infinity"
         {"pq_pairs": [[2, "2"]]}, {"pq_pairs": [["1.5", 3]]}, {"pq_pairs": [[1, "1e400"]]},
         {"pq_pairs": [[1, "+inf"]]}, {"pq_pairs": [[1, " inf"]]}, {"pq_pairs": [[1, ""]]},
+        {"pq_pairs": [[None, 2]]},
     ],
 )
 def test_config_validation_errors(patch):
@@ -198,6 +201,26 @@ def test_rejection_exhausted_trials_are_flagged(monkeypatch):
         assert rows and all((r.metric, r.value, r.certainty) == ("rejection_exhausted", 1.0, "flagged") for r in rows)
 
 
+def test_sampler_redraws_a_smaller_perturbation_after_a_singular_draw(monkeypatch):
+    inv, calls = np.linalg.inv, []
+
+    def singular_once(u):
+        calls.append(u)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(u)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    n, delta = 4, 0.3 / 2.0
+    op = _sample_controlled_operator(np.random.default_rng(0), n, 2.0)
+    assert op is not None and len(calls) >= 2
+    # the second draw is the next Gaussian, scaled by 0.7 delta
+    rng = np.random.default_rng(0)
+    rng.uniform(-1.0, 1.0, size=n)
+    _complex_gaussian(rng, n)
+    assert np.array_equal(calls[1], np.eye(n) + 0.7 * delta * _complex_gaussian(rng, n))
+
+
 def test_p2q2_mixed_metrics_present():
     cfg = ExperimentConfig(seed=4, dims=[3], pq_pairs=[(2.0, 2.0)], trials=2)
     rows = run_p2q2_mixed(cfg)
@@ -274,6 +297,15 @@ def test_psumming_check_without_an_interior_exponent_writes_no_rows(tmp_path):
     assert cli.main(["psumming-check", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text() == CSV_HEADER + "\n"
     assert json.loads((tmp_path / "psum.csv.summary.json").read_text())["row_count"] == 0
+
+
+def test_doi_identity_violation_carries_its_dump(monkeypatch):
+    monkeypatch.setattr(experiments, "IDENTITY_TOL", -1.0)
+    with pytest.raises(ViolationError, match="DOI identity residual") as info:
+        run_doi_identity(SMALL)
+    dump = info.value.dump
+    assert set(dump) == {"n", "trial", "residual", "allowed", "collision", "seed_used"}
+    assert dump["allowed"] < 0.0 <= dump["residual"]
 
 
 def test_doi_identity_runs_clean():
@@ -364,13 +396,15 @@ def test_cli_config_error_exit_code(tmp_path):
         {"output_path": ""},
         {"pq_pairs": [[2, "2"]]},
         {"pq_pairs": [["3", "inf"]]},
+        {"pq_pairs": [[1, int("9" * 400)]]},
     ],
 )
 def test_cli_malformed_values_exit_code(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **override)
     out = tmp_path / "out.csv"
     assert cli.main(["all", "--config", cfg, "--out", str(out)]) == 3
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -380,10 +414,24 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(cli.RUNNERS, "doi-identity", not_run)
     cfg = write_config(tmp_path)
-    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+    # the last output's summary path is a directory
+    (tmp_path / "out.csv.summary.json").mkdir()
+    for out in (tmp_path / "missing" / "out.csv", tmp_path, tmp_path / "out.csv"):
         assert cli.main(["doi-identity", "--config", cfg, "--out", str(out)]) == 3
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_write_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing_write(rows, cfg, path):
+        raise OSError("disk full")
+
+    monkeypatch.setitem(cli.RUNNERS, "doi-identity", lambda cfg: [])
+    monkeypatch.setattr(cli, "write_outputs", failing_write)
+    out = tmp_path / "out.csv"
+    assert cli.main(["doi-identity", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: cannot write output: disk full")
 
 
 def test_cli_violation_exit_code(tmp_path, monkeypatch):

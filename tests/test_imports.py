@@ -1,7 +1,8 @@
-"""Every name a doilab module imports is used in it. `__init__.py`, which
-re-exports, is skipped, and `# noqa: F401` on the line of an imported name
-keeps that name. Every module-level private name is read somewhere in the
-package. The package runs on numpy alone: scipy is never imported."""
+"""Every name a doilab module or a test file imports is used in it.
+`__init__.py`, which re-exports, is skipped, and `# noqa: F401` on the
+line of an imported name keeps that name. Every module-level private name
+is read somewhere in the package. The package runs on numpy alone: scipy
+is never imported."""
 
 import ast
 import os
@@ -14,6 +15,7 @@ import pytest
 import doilab
 
 MODULES = sorted(p for p in Path(doilab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +34,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

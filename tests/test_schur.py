@@ -80,6 +80,11 @@ def test_divided_difference_index_convention():
             assert phi[k, j] == pytest.approx(lam[j] + mu[k])
 
 
+def test_divided_difference_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        divided_difference_matrix(lambda t: math.nan, [0.0, 1.0], [0.0, 2.0], diagonal=0.0)
+
+
 # ---------------------------------------------------------------- truncation
 
 
@@ -183,6 +188,11 @@ def test_repeat_first_column_examples():
     assert np.array_equal(
         repeat_first_column([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 1.0, 2.0], [3.0, 3.0, 4.0]]
     )
+
+
+def test_repeat_first_column_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="empty matrix"):
+        repeat_first_column(np.zeros((2, 0)))
 
 
 # ---------------------------------------------------------- multiplier norm

@@ -39,6 +39,8 @@ def random_operator(seed, n=4, delta=0.2):
 def test_operator_invariants_checked():
     with pytest.raises(ValueError):
         DiagonalizableOperator([1.0, 2.0], np.eye(2), 2 * np.eye(2))
+    with pytest.raises(ValueError, match="must be n x n"):
+        DiagonalizableOperator([1.0, 2.0], np.eye(3), np.eye(3))
 
 
 def test_from_u_and_diagonal_constructors():
@@ -92,6 +94,14 @@ def test_functional_calculus_abs_swap_matrix():
     # |A| for A = [[0,1],[1,0]] is the identity (sqrt of A^H A = I)
     op = DiagonalizableOperator.from_u([1.0, -1.0], HADAMARD)
     assert np.allclose(functional_calculus(op, abs), np.eye(2), atol=1e-12)
+
+
+def test_functional_calculus_rejects_an_f_that_raises_or_is_not_finite():
+    op = DiagonalizableOperator.diagonal([1.0, 0.0])
+    with pytest.raises(ValueError, match="f undefined at eigenvalue"):
+        functional_calculus(op, lambda t: 1.0 / t.real)
+    with pytest.raises(ValueError, match="f non-finite at eigenvalue"):
+        functional_calculus(op, lambda t: math.inf)
 
 
 @settings(deadline=None, max_examples=25)
@@ -148,6 +158,13 @@ def test_projection_rejects_split_repeated_eigenvalue():
     op = DiagonalizableOperator.diagonal([1.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         spectral_projection(op, [0])  # index 1 shares the eigenvalue
+
+
+def test_projection_rejects_an_index_out_of_range():
+    op = DiagonalizableOperator.diagonal([1.0, 2.0])
+    for sigma in ([2], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            spectral_projection(op, sigma)
 
 
 # ------------------------------------------------------- spectral constant
