@@ -275,14 +275,25 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
 # --------------------------------------------------------------- commutators
 
 
+def _initial_delta(n: int, p: float) -> float:
+    """The first perturbation size of U = I + delta G at exponent p:
+    0.3 / sqrt(n) n^(1/2 - max(1/p, 1/p*)). The power is n ** 0.0 == 1.0 at
+    p = 2, so the p = 2 draws are 0.3 / sqrt(n) G exactly."""
+    return 0.3 / math.sqrt(n) * n ** (0.5 - max(1.0 / p, 1.0 - 1.0 / p))
+
+
 def _sample_controlled_operator(rng, n, p):
     """lambda uniform on [-1, 1]; U = I + delta G rejection-sampled so that
     opnorm_upper(U) opnorm_upper(U^{-1}), an upper bound on the
     diagonalizability constant, is at most K_TARGET. Each factor is an
     exact closed form at p in {1, 2, inf} and a Riesz-Thorin
-    interpolation at interior p."""
+    interpolation at interior p. The first delta is `_initial_delta(n, p)`:
+    the p -> p norm of an n x n complex Gaussian G grows like
+    n^max(1/p, 1/p*), so that delta keeps ||delta G||_{p->p} of one order
+    at every p and n, and most first draws pass. Each rejection shrinks
+    delta by 0.8, each singular draw by 0.7."""
     lam = rng.uniform(-1.0, 1.0, size=n)
-    delta = 0.3 / math.sqrt(n)
+    delta = _initial_delta(n, p)
     for _ in range(SAMPLING_ATTEMPTS):
         u = np.eye(n) + delta * _complex_gaussian(rng, n)
         try:
@@ -469,7 +480,7 @@ def run_doi_identity(cfg: ExperimentConfig) -> list:
         if collision:
             lam[: n // 2 + 1] = lam[0]
             mu[0] = lam[0]
-        delta = 0.3 / math.sqrt(n)
+        delta = _initial_delta(n, 2.0)
         a = DiagonalizableOperator.from_u(lam, np.eye(n) + delta * _complex_gaussian(rng, n))
         b = DiagonalizableOperator.from_u(mu, np.eye(n) + delta * _complex_gaussian(rng, n))
         S = _complex_gaussian(rng, n)
@@ -600,8 +611,12 @@ def rows_to_csv(rows: list) -> str:
 
 
 def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
-    with open(path, "w") as fh:
-        fh.write(rows_to_csv(rows))
+    """Write the CSV to `path` and its summary to `<path>.summary.json`,
+    both or neither: each goes to a temporary file in the target directory
+    first, and they are renamed, the summary first, only once both writes
+    have succeeded. On a failure the temporary files are removed. They
+    get short random names and are created by `open`, so the outputs get
+    its mode (0o666 less the umask)."""
     summary = {
         "config": {
             "seed": cfg.seed,
@@ -618,6 +633,19 @@ def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
     for r in rows:
         if r.metric.startswith("fit_"):
             summary["fits"].setdefault(f"({_fmt_exp(r.p)},{_fmt_exp(r.q)})", {})[r.metric] = r.value
-    with open(path + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    directory = os.path.dirname(path) or "."
+    temps = []
+    try:
+        for text in (rows_to_csv(rows), json.dumps(summary, indent=2, sort_keys=True)):
+            tmp = os.path.join(directory, f".{os.urandom(6).hex()}.tmp")
+            with open(tmp, "x") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        os.replace(temps[1], path + ".summary.json")
+        os.replace(temps[0], path)
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
     return path

@@ -221,6 +221,38 @@ def test_sampler_redraws_a_smaller_perturbation_after_a_singular_draw(monkeypatc
     assert np.array_equal(calls[1], np.eye(n) + 0.7 * delta * _complex_gaussian(rng, n))
 
 
+@pytest.mark.parametrize("p, delta", [(1.0, 0.3 / 4.0 * 16 ** -0.5), (INF, 0.3 / 4.0 * 16 ** -0.5), (2.0, 0.3 / 4.0)])
+def test_sampler_starts_at_the_perturbation_of_its_exponent(monkeypatch, p, delta):
+    # ||G||_{p->p} of a Gaussian grows like n^max(1/p, 1/p*): like n at
+    # p in {1, inf}, like sqrt(n) at p = 2, where delta is 0.3 / sqrt(n) bit for bit
+    inv, calls = np.linalg.inv, []
+
+    def recording(u):
+        calls.append(u)
+        return inv(u)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    n = 16
+    _sample_controlled_operator(np.random.default_rng(5), n, p)
+    rng = np.random.default_rng(5)
+    rng.uniform(-1.0, 1.0, size=n)
+    assert np.array_equal(calls[0], np.eye(n) + delta * _complex_gaussian(rng, n))
+
+
+def test_sampler_draws_few_operators_per_accepted_one_at_p1(monkeypatch):
+    # 1.8 draws per accepted operator; 0.3 / sqrt(n) at every p took 12.1
+    inv, draws = np.linalg.inv, []
+
+    def counting(u):
+        draws.append(1)
+        return inv(u)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    ops = [_sample_controlled_operator(np.random.default_rng(seed), 128, 1.0) for seed in range(10)]
+    assert all(op is not None for op in ops)
+    assert len(draws) / len(ops) <= 3.0
+
+
 def test_p2q2_mixed_metrics_present():
     cfg = ExperimentConfig(seed=4, dims=[3], pq_pairs=[(2.0, 2.0)], trials=2)
     rows = run_p2q2_mixed(cfg)
@@ -324,8 +356,11 @@ def test_determinism_of_run_all():
 def test_write_outputs_creates_csv_and_summary(tmp_path):
     rows = run_truncation_growth(ExperimentConfig(seed=1, dims=[2, 4], pq_pairs=[(1.0, 1.0)], trials=1))
     out = tmp_path / "res.csv"
+    (tmp_path / "res.csv.summary.json").write_text("stale")
     path = write_outputs(rows, replace(SMALL, restarts=3), str(out))
     assert path == str(out)
+    # both files are in place, the stale summary replaced, no temporary file left
+    assert sorted(os.listdir(tmp_path)) == ["res.csv", "res.csv.summary.json"]
     text = out.read_text()
     assert text.startswith(CSV_HEADER)
     summary = json.loads((tmp_path / "res.csv.summary.json").read_text())
@@ -432,6 +467,16 @@ def test_cli_write_failure_exit_code(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.csv"
     assert cli.main(["doi-identity", "--config", write_config(tmp_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("config error: cannot write output: disk full")
+
+
+def test_cli_summary_name_too_long_leaves_no_output(tmp_path, capsys):
+    # the CSV name fits NAME_MAX (255) and its summary's name does not; the
+    # summary fails after every row was computed, and no CSV is left
+    cfg = write_config(tmp_path)
+    out = tmp_path / ("a" * 250 + ".csv")
+    assert cli.main(["doi-identity", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: cannot write output")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_violation_exit_code(tmp_path, monkeypatch):
