@@ -46,14 +46,19 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 def check_output_path(path: str):
     """Raise ConfigError unless neither `path` nor its summary
-    `<path>.summary.json` is a directory and their directory exists and is
-    writable, so that a run learns before it computes any row that it
-    could not save them."""
+    `<path>.summary.json` is a directory, their directory exists and is
+    writable, and both names fit its NAME_MAX, so that a run learns before
+    it computes any row that it could not save them."""
+    directory = os.path.dirname(path) or "."
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write output: the directory of {path} is missing or not writable")
+    # -1: the file system sets no limit, or the platform has no pathconf
+    name_max = os.pathconf(directory, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
     for target in (path, path + ".summary.json"):
         if os.path.isdir(target):
             raise ConfigError(f"cannot write output: {target} is a directory")
-    if not os.access(os.path.dirname(path) or ".", os.W_OK):
-        raise ConfigError(f"cannot write output: the directory of {path} is missing or not writable")
+        if 0 <= name_max < len(os.fsencode(os.path.basename(target))):
+            raise ConfigError(f"cannot write output: the name of {target} is longer than {name_max} bytes")
 
 
 def main(argv=None) -> int:

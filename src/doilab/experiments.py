@@ -613,10 +613,20 @@ def rows_to_csv(rows: list) -> str:
 def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
     """Write the CSV to `path` and its summary to `<path>.summary.json`,
     both or neither: each goes to a temporary file in the target directory
-    first, and they are renamed, the summary first, only once both writes
-    have succeeded. On a failure the temporary files are removed. They
-    get short random names and are created by `open`, so the outputs get
-    its mode (0o666 less the umask)."""
+    first. Only once both writes have succeeded are the existing summary
+    and CSV unlinked, in that order, and the temporary files renamed into
+    place, the summary first. A failure before the unlinks leaves the
+    previous outputs untouched; one from the first unlink on leaves
+    neither output. Either way no temporary file is left. The temporary
+    files get short random names and are created by `open`, so the
+    outputs get its mode (0o666 less the umask).
+
+    No rename lands on an existing name and no existing file is opened
+    for writing: ext4 (with its default `auto_da_alloc`) flushes the new
+    file's blocks on either, which made a rerun into the same path take
+    tens of milliseconds per output. Without that implicit flush, and with
+    no fsync, an output may be missing or empty after a power loss; every
+    output can be rebuilt exactly from its config and seed."""
     summary = {
         "config": {
             "seed": cfg.seed,
@@ -634,18 +644,26 @@ def write_outputs(rows: list, cfg: ExperimentConfig, path: str):
         if r.metric.startswith("fit_"):
             summary["fits"].setdefault(f"({_fmt_exp(r.p)},{_fmt_exp(r.q)})", {})[r.metric] = r.value
     directory = os.path.dirname(path) or "."
-    temps = []
+    targets = (path, path + ".summary.json")
+    # the files this call made, each a temporary file until it is renamed
+    made = []
     try:
         for text in (rows_to_csv(rows), json.dumps(summary, indent=2, sort_keys=True)):
             tmp = os.path.join(directory, f".{os.urandom(6).hex()}.tmp")
             with open(tmp, "x") as fh:
-                temps.append(tmp)
+                made.append(tmp)
                 fh.write(text)
-        os.replace(temps[1], path + ".summary.json")
-        os.replace(temps[0], path)
+        for i in (1, 0):
+            try:
+                os.remove(targets[i])
+            except FileNotFoundError:
+                pass
+        for i in (1, 0):
+            os.rename(made[i], targets[i])
+            made[i] = targets[i]
     except BaseException:
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        for name in made:
+            if os.path.exists(name):
+                os.remove(name)
         raise
     return path

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import math
 import multiprocessing
@@ -372,6 +374,96 @@ def test_write_outputs_creates_csv_and_summary(tmp_path):
     assert summary["config"]["restarts"] == 3
 
 
+TRUNCATION_ROWS = ExperimentConfig(seed=1, dims=[2, 4], pq_pairs=[(1.0, 1.0)], trials=1)
+
+
+def write_old_outputs(directory):
+    directory.mkdir()
+    (directory / "res.csv").write_text("old csv")
+    (directory / "res.csv.summary.json").write_text("old summary")
+    return directory / "res.csv"
+
+
+def test_write_outputs_never_writes_over_an_existing_name(tmp_path, monkeypatch):
+    # ext4 flushes a file's blocks when a rename lands on it or an open
+    # truncates it; the writer unlinks the old outputs first
+    rows = run_truncation_growth(TRUNCATION_ROWS)
+    fresh = write_outputs(rows, SMALL, str(tmp_path / "res.csv"))
+    out = write_old_outputs(tmp_path / "over")
+    renames = []
+
+    def rename_spy(real):
+        def spy(src, dst, *args, **kwargs):
+            assert not os.path.lexists(dst), f"renamed onto the existing {dst}"
+            renames.append(dst)
+            return real(src, dst, *args, **kwargs)
+
+        return spy
+
+    real_open = builtins.open
+
+    def open_spy(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            assert not os.path.lexists(file), f"opened the existing {file} in mode {mode}"
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "rename", rename_spy(os.rename))
+    monkeypatch.setattr(os, "replace", rename_spy(os.replace))
+    monkeypatch.setattr(builtins, "open", open_spy)
+    write_outputs(rows, SMALL, str(out))
+    monkeypatch.undo()
+    assert renames == [str(out) + ".summary.json", str(out)]
+    assert sorted(os.listdir(out.parent)) == ["res.csv", "res.csv.summary.json"]
+    for suffix in ("", ".summary.json"):
+        assert Path(str(out) + suffix).read_bytes() == Path(fresh + suffix).read_bytes()
+    assert out.read_text() == rows_to_csv(rows)
+
+
+def test_write_outputs_failing_before_the_unlinks_keeps_the_old_outputs(tmp_path, monkeypatch):
+    out = write_old_outputs(tmp_path / "out")
+    real_open = builtins.open
+    opened = []
+
+    def full_disk_on_second_file(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        opened.append(file)
+        if len(opened) == 2:
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_on_second_file)
+    with pytest.raises(OSError, match="No space left"):
+        write_outputs(run_truncation_growth(TRUNCATION_ROWS), SMALL, str(out))
+    monkeypatch.undo()
+    assert len(opened) == 2
+    assert sorted(os.listdir(out.parent)) == ["res.csv", "res.csv.summary.json"]
+    assert out.read_bytes() == b"old csv"
+    assert (out.parent / "res.csv.summary.json").read_bytes() == b"old summary"
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_write_outputs_failing_in_a_rename_leaves_neither_output(tmp_path, monkeypatch, failing_call):
+    out = write_old_outputs(tmp_path / "out")
+    real_rename = os.rename
+    calls = []
+
+    def rename(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError(errno.EIO, "I/O error")
+        return real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    with pytest.raises(OSError, match="I/O error"):
+        write_outputs(run_truncation_growth(TRUNCATION_ROWS), SMALL, str(out))
+    monkeypatch.undo()
+    assert len(calls) == failing_call
+    assert os.listdir(out.parent) == []
+
+
 # ----------------------------------------------------------------------- CLI
 
 
@@ -469,9 +561,13 @@ def test_cli_write_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("config error: cannot write output: disk full")
 
 
-def test_cli_summary_name_too_long_leaves_no_output(tmp_path, capsys):
+def test_cli_summary_name_too_long_leaves_no_output(tmp_path, capsys, monkeypatch):
     # the CSV name fits NAME_MAX (255) and its summary's name does not; the
-    # summary fails after every row was computed, and no CSV is left
+    # run exits before any row is computed
+    def not_run(cfg):
+        raise AssertionError("experiment ran although its summary name is too long")
+
+    monkeypatch.setitem(cli.RUNNERS, "doi-identity", not_run)
     cfg = write_config(tmp_path)
     out = tmp_path / ("a" * 250 + ".csv")
     assert cli.main(["doi-identity", "--config", cfg, "--out", str(out)]) == 3
