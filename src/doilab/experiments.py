@@ -26,10 +26,8 @@ from .spectral import DiagonalizableOperator, assemble, diagonalizability_consta
 from .doi import RHS_ZERO_CUTOFF, commutator_transform
 from .psumming import PSummingContext, lipschitz_commutator_check
 
-# rejection sampling of an operator: its interpolation bound on K must be
-# at most K_TARGET within SAMPLING_ATTEMPTS draws, or the trial is flagged
+# a sampled operator's bound on K is at most K_TARGET by construction
 K_TARGET = 2.0
-SAMPLING_ATTEMPTS = 60
 # MIXED_EPS is the eps of p2q2-mixed's norms from l_2 to l_{2-eps} and from
 # l_{2+eps} to l_2; IDENTITY_TOL is doi-identity's bound on the DOI identity
 # residual, relative to the scale of the instance
@@ -275,45 +273,29 @@ def run_truncation_growth(cfg: ExperimentConfig) -> list:
 # --------------------------------------------------------------- commutators
 
 
-def _initial_delta(n: int, p: float) -> float:
-    """The first perturbation size of U = I + delta G at exponent p:
-    0.3 / sqrt(n) n^(1/2 - max(1/p, 1/p*)). The power is n ** 0.0 == 1.0 at
-    p = 2, so the p = 2 draws are 0.3 / sqrt(n) G exactly."""
-    return 0.3 / math.sqrt(n) * n ** (0.5 - max(1.0 / p, 1.0 - 1.0 / p))
-
-
 def _sample_controlled_operator(rng, n, p):
-    """lambda uniform on [-1, 1]; U = I + delta G rejection-sampled so that
-    opnorm_upper(U) opnorm_upper(U^{-1}), an upper bound on the
-    diagonalizability constant, is at most K_TARGET. Each factor is an
-    exact closed form at p in {1, 2, inf} and a Riesz-Thorin
-    interpolation at interior p. The first delta is `_initial_delta(n, p)`:
-    the p -> p norm of an n x n complex Gaussian G grows like
-    n^max(1/p, 1/p*), so that delta keeps ||delta G||_{p->p} of one order
-    at every p and n, and most first draws pass. Each rejection shrinks
-    delta by 0.8, each singular draw by 0.7."""
+    """lambda uniform on [-1, 1] and U = I + (c / opnorm_upper(G)) G for one
+    complex Gaussian G, with c = (K_TARGET - 1) / (K_TARGET + 1) = 1/3.
+    Since opnorm_upper bounds the p -> p norm, E = U - I has
+    ||E||_p <= c < 1, and the Neumann series gives ||U||_p <= 1 + c and
+    ||U^{-1}||_p <= 1 / (1 - c). So U is invertible, and the
+    diagonalizability constant K_p <= ||U||_p ||U^{-1}||_p is at most
+    (1 + c) / (1 - c) = K_TARGET at every p, interior p included, with
+    one draw and one inverse per operator. opnorm_upper is rounded to
+    nearest, not outward, so this holds up to a few ulps: K_TARGET is a
+    sampling target, not a reported bound."""
     lam = rng.uniform(-1.0, 1.0, size=n)
-    delta = _initial_delta(n, p)
-    for _ in range(SAMPLING_ATTEMPTS):
-        u = np.eye(n) + delta * _complex_gaussian(rng, n)
-        try:
-            u_inv = np.linalg.inv(u)
-        except np.linalg.LinAlgError:
-            delta *= 0.7
-            continue
-        if opnorm_upper(u, p, p) * opnorm_upper(u_inv, p, p) <= K_TARGET:
-            return DiagonalizableOperator(lam, u, u_inv)
-        delta *= 0.8
-    return None
+    g = _complex_gaussian(rng, n)
+    c = (K_TARGET - 1.0) / (K_TARGET + 1.0)
+    u = np.eye(n) + (c / opnorm_upper(g, p, p)) * g
+    return DiagonalizableOperator(lam, u, np.linalg.inv(u))
 
 
 def _sampled_instance(rng, n: int, pa: float, pb: float):
     """(A, B, S): A sampled at exponent pa, then B at pb, then a complex
-    Gaussian S; None when sampling A or B gives up."""
+    Gaussian S."""
     a = _sample_controlled_operator(rng, n, pa)
     b = _sample_controlled_operator(rng, n, pb)
-    if a is None or b is None:
-        return None
     return a, b, _complex_gaussian(rng, n)
 
 
@@ -341,10 +323,7 @@ def _commutator_rows(item) -> list:
     if adversarial:
         [rep] = commutator_transform(*_adversarial_instance(t.n), [abs], p, q, t.search)
         return [t.row("adversarial_normalized_ratio", rep.ratio, rep.norms_meta["lhs"])]
-    instance = _sampled_instance(t.rng, t.n, p, q)
-    if instance is None:
-        return [t.row("rejection_exhausted", 1.0, "flagged")]
-    a, b, S = instance
+    a, b, S = _sampled_instance(t.rng, t.n, p, q)
     k_a = diagonalizability_constant(a, p)
     k_b = diagonalizability_constant(b, q)
     rep, ctrl = commutator_transform(a, b, S, [abs, lambda x: x], p, q, t.search)
@@ -435,10 +414,7 @@ def _psumming_rows(t: _Trial) -> list:
     """The rows of one trial at p = t.p; a violated bound raises
     `ViolationError` with the instance."""
     ctx = PSummingContext(t.p)
-    instance = _sampled_instance(t.rng, t.n, ctx.pstar, ctx.p)
-    if instance is None:
-        return [t.row("rejection_exhausted", 1.0, "flagged")]
-    a, b, S = instance
+    a, b, S = _sampled_instance(t.rng, t.n, ctx.pstar, ctx.p)
     rows = []
     results = lipschitz_commutator_check(a, b, S, (abs, lambda x: x), ctx)
     for tag, res in zip(("abs", "identity"), results):
@@ -480,7 +456,7 @@ def run_doi_identity(cfg: ExperimentConfig) -> list:
         if collision:
             lam[: n // 2 + 1] = lam[0]
             mu[0] = lam[0]
-        delta = _initial_delta(n, 2.0)
+        delta = 0.3 / math.sqrt(n)
         a = DiagonalizableOperator.from_u(lam, np.eye(n) + delta * _complex_gaussian(rng, n))
         b = DiagonalizableOperator.from_u(mu, np.eye(n) + delta * _complex_gaussian(rng, n))
         S = _complex_gaussian(rng, n)

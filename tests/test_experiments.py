@@ -195,64 +195,59 @@ def test_commutator_ratios_adversarial_rows_only_at_22():
     assert adv[0].value < adv[1].value  # growth with n
 
 
-def test_rejection_exhausted_trials_are_flagged(monkeypatch):
-    monkeypatch.setattr(experiments, "SAMPLING_ATTEMPTS", 0)
-    cfg = ExperimentConfig(seed=3, dims=[2, 3], pq_pairs=[(1.0, 2.0), (1.5, 3.0)], trials=2)
-    for runner in (run_commutator_ratios, run_psumming_check):
-        rows = runner(cfg)
-        assert rows and all((r.metric, r.value, r.certainty) == ("rejection_exhausted", 1.0, "flagged") for r in rows)
+SAMPLER_DIMS = [1, 4, 32, 128]
+SAMPLER_PS = [1.0, 1.5, 2.0, 3.0, INF]
+NEUMANN_RADIUS = (experiments.K_TARGET - 1.0) / (experiments.K_TARGET + 1.0)
 
 
-def test_sampler_redraws_a_smaller_perturbation_after_a_singular_draw(monkeypatch):
-    inv, calls = np.linalg.inv, []
+def _sampled_operators(p):
+    """The operator of every seed in 0-9 and n in SAMPLER_DIMS at exponent p."""
+    return [_sample_controlled_operator(np.random.default_rng(seed), n, p) for seed in range(10) for n in SAMPLER_DIMS]
 
-    def singular_once(u):
-        calls.append(u)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
+
+@pytest.mark.parametrize("p", SAMPLER_PS)
+def test_sampler_draws_one_gaussian_and_makes_one_inverse(monkeypatch, p):
+    inv, gaussians, inverses = np.linalg.inv, [], []
+
+    def recording_gaussian(rng, n):
+        gaussians.append(_complex_gaussian(rng, n))
+        return gaussians[-1]
+
+    def recording_inv(u):
+        inverses.append(u)
         return inv(u)
 
-    monkeypatch.setattr(np.linalg, "inv", singular_once)
-    n, delta = 4, 0.3 / 2.0
-    op = _sample_controlled_operator(np.random.default_rng(0), n, 2.0)
-    assert op is not None and len(calls) >= 2
-    # the second draw is the next Gaussian, scaled by 0.7 delta
-    rng = np.random.default_rng(0)
-    rng.uniform(-1.0, 1.0, size=n)
-    _complex_gaussian(rng, n)
-    assert np.array_equal(calls[1], np.eye(n) + 0.7 * delta * _complex_gaussian(rng, n))
+    monkeypatch.setattr(experiments, "_complex_gaussian", recording_gaussian)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    for seed in range(10):
+        for n in SAMPLER_DIMS:
+            gaussians.clear()
+            inverses.clear()
+            rng = np.random.default_rng(seed)
+            op = _sample_controlled_operator(rng, n, p)
+            assert len(gaussians) == len(inverses) == 1, (seed, n)
+            [g] = gaussians
+            assert np.array_equal(op.u, np.eye(n) + (NEUMANN_RADIUS / opnorm_upper(g, p, p)) * g)
+            assert np.array_equal(inverses[0], op.u)
+            # lambda, then G, and nothing more is drawn from the generator
+            fresh = np.random.default_rng(seed)
+            assert np.array_equal(op.lambdas, fresh.uniform(-1.0, 1.0, size=n))
+            _complex_gaussian(fresh, n)
+            assert rng.standard_normal() == fresh.standard_normal()
 
 
-@pytest.mark.parametrize("p, delta", [(1.0, 0.3 / 4.0 * 16 ** -0.5), (INF, 0.3 / 4.0 * 16 ** -0.5), (2.0, 0.3 / 4.0)])
-def test_sampler_starts_at_the_perturbation_of_its_exponent(monkeypatch, p, delta):
-    # ||G||_{p->p} of a Gaussian grows like n^max(1/p, 1/p*): like n at
-    # p in {1, inf}, like sqrt(n) at p = 2, where delta is 0.3 / sqrt(n) bit for bit
-    inv, calls = np.linalg.inv, []
-
-    def recording(u):
-        calls.append(u)
-        return inv(u)
-
-    monkeypatch.setattr(np.linalg, "inv", recording)
-    n = 16
-    _sample_controlled_operator(np.random.default_rng(5), n, p)
-    rng = np.random.default_rng(5)
-    rng.uniform(-1.0, 1.0, size=n)
-    assert np.array_equal(calls[0], np.eye(n) + delta * _complex_gaussian(rng, n))
+@pytest.mark.parametrize("p", SAMPLER_PS)
+def test_sampler_perturbation_is_within_the_neumann_radius(p):
+    # ||U - I||_p <= c < 1 makes U invertible with K_p at most (1 + c) / (1 - c)
+    for op in _sampled_operators(p):
+        assert opnorm_upper(op.u - np.eye(op.n), p, p) <= NEUMANN_RADIUS * (1 + 1e-12)
 
 
-def test_sampler_draws_few_operators_per_accepted_one_at_p1(monkeypatch):
-    # 1.8 draws per accepted operator; 0.3 / sqrt(n) at every p took 12.1
-    inv, draws = np.linalg.inv, []
-
-    def counting(u):
-        draws.append(1)
-        return inv(u)
-
-    monkeypatch.setattr(np.linalg, "inv", counting)
-    ops = [_sample_controlled_operator(np.random.default_rng(seed), 128, 1.0) for seed in range(10)]
-    assert all(op is not None for op in ops)
-    assert len(draws) / len(ops) <= 3.0
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_sampler_condition_bound_is_at_most_k_target(p):
+    # at the exact exponents opnorm_upper is the norm itself
+    for op in _sampled_operators(p):
+        assert opnorm_upper(op.u, p, p) * opnorm_upper(op.u_inv, p, p) <= experiments.K_TARGET * (1 + 1e-12)
 
 
 def test_p2q2_mixed_metrics_present():
@@ -724,7 +719,6 @@ def test_cli_all_violation_in_a_worker_exits_2_with_its_dump(tmp_path):
 # ------------------------------------------------ trials fanned out in workers
 
 FAN_OUT_CASES = {
-    # SAMPLING_ATTEMPTS 1 exhausts rejection sampling on some trials only
     "psumming": (run_psumming_check, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(1.5, 1.5), (3.0, 3.0)], trials=2)),
     "commutator": (run_commutator_ratios, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(1.0, 2.0), (2.0, 2.0)], trials=2)),
     "truncation": (run_truncation_growth, ExperimentConfig(seed=3, dims=[2, 3, 8], pq_pairs=[(2.0, 2.0), (2.0, 4.0), (3.0, 1.5)], trials=1)),
@@ -735,14 +729,11 @@ FAN_OUT_CASES = {
 @pytest.mark.parametrize("case", sorted(FAN_OUT_CASES))
 def test_fanned_out_rows_do_not_depend_on_the_cpus(monkeypatch, case):
     runner, cfg = FAN_OUT_CASES[case]
-    monkeypatch.setattr(experiments, "SAMPLING_ATTEMPTS", 1)
     set_cpus(monkeypatch, 1)
     rows = runner(cfg)
-    metrics = {r.metric for r in rows}
-    if case != "truncation":
-        assert "rejection_exhausted" in metrics and len(metrics) > 1
     if case == "commutator":
-        assert "adversarial_normalized_ratio" in metrics
+        # adversarial and sampled items share the fan-out
+        assert {"adversarial_normalized_ratio", "normalized_ratio"} <= {r.metric for r in rows}
     for cpus in (2, 3):
         set_cpus(monkeypatch, cpus)
         assert rows_to_csv(runner(cfg)) == rows_to_csv(rows)

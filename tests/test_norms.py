@@ -868,7 +868,7 @@ P_EQUALS_Q_PINS = {
 
 
 def test_opnorm_upper_at_p_equals_q_is_pinned():
-    # the rejection sampler and K's scoring call it at p = q: a change in
+    # the sampler and K's scoring call it at p = q: a change in
     # the last bit would change every sampled instance
     rng = np.random.default_rng(21)
     for shape, pins in P_EQUALS_Q_PINS.items():
