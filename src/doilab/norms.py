@@ -440,6 +440,24 @@ def riesz_thorin(x0: float, x1: float, theta: float) -> float:
     return x0**theta * x1 ** (1.0 - theta)
 
 
+def _segment_bound(x0: float, c: float, p: float, q: float, from_one, to_inf) -> float:
+    """Riesz-Thorin bound on ||S||_{p->q} at 1 < p <= q < inf from the
+    segment that starts at the anchor (1/p0, 1/q0) = (c, c), where x0
+    bounds the norm, and runs through (x, y) = (1/p, 1/q) to the first exact
+    edge it meets. Along the segment the gap 1/p - 1/q grows in proportion
+    to the distance from the anchor, where it is 0, so at the exit, whose
+    bound takes the weight e, it is (x - y) / e: on the q = inf edge that
+    gap is 1/pe, with e = 1 - y/c and to_inf(pe) at the exit; on the p = 1
+    edge it is 1/qe*, with e = (x - c) / (1 - c) and from_one(qe) at the
+    exit. At p = q the exit is the (1,1) or (inf,inf) corner, where the
+    zero gap maps to INF."""
+    x, y = 1.0 / p, 1.0 / q
+    if c * (x - y) <= c - y:  # leaves through q = inf
+        return riesz_thorin(x0, to_inf((1.0 - y / c) / (x - y) if x > y else INF), y / c)
+    e = (x - c) / (1.0 - c)  # leaves through p = 1
+    return riesz_thorin(from_one(conjugate_exponent(e / (x - y) if x > y else INF)), x0, e)
+
+
 def opnorm_uppers(S, pairs) -> list[float]:
     """`opnorm_upper(S, p, q)` at each (p, q) in pairs. |S| and sigma_max
     are computed once for all of them, sigma_max only where some pair off
@@ -472,10 +490,8 @@ def opnorm_uppers(S, pairs) -> list[float]:
             sigma = float(np.linalg.svd(S, compute_uv=False)[0])
         if p == q == 2.0:
             out.append(sigma)
-        elif p == q < 2.0:  # 1/p = theta/1 + (1-theta)/2
-            out.append(riesz_thorin(from_one(1.0), sigma, 2.0 / p - 1.0))
-        elif p == q:  # 1/p = theta/2 + (1-theta)/inf
-            out.append(riesz_thorin(sigma, to_inf(INF), 2.0 / p))
+        elif p == q:
+            out.append(_segment_bound(sigma, 0.5, p, q, from_one, to_inf))
         else:
             rows = _row_dual_norms(a, p)
             bounds = [
@@ -484,11 +500,9 @@ def opnorm_uppers(S, pairs) -> list[float]:
                 float(_row_norms(_col_norms(a, q)[None], conjugate_exponent(p))[0]),
                 float(_row_norms(rows[None], q)[0]),
             ]
-            if p == 2.0 and q > 2.0:
-                bounds.append(riesz_thorin(sigma, float(rows.max()), 2.0 / q))
-            if p < q:
-                pt = (1.0 - 1.0 / q) / (1.0 / p - 1.0 / q)
-                bounds.append(riesz_thorin(from_one(1.0), to_inf(pt), 1.0 / q))
+            if p < q:  # the segments from (2,2), (1,1) and (inf,inf)
+                for x0, c in ((sigma, 0.5), (from_one(1.0), 1.0), (to_inf(INF), 0.0)):
+                    bounds.append(_segment_bound(x0, c, p, q, from_one, to_inf))
             out.append(min(bounds))
     return out
 
@@ -501,17 +515,24 @@ def opnorm_upper(S, p, q) -> float:
     so the bound equals `opnorm(S, p, q).value` bit for bit there. At
     (2,2) it is sigma_max from LAPACK's value-only SVD, which can differ by
     a few ulps, either way, from `opnorm(S, 2, 2)`, a full SVD; neither is
-    rounded outward. At other p = q it is Riesz-Thorin interpolation
-    between (2,2) and (1,1) at p < 2, or (inf,inf) at p > 2. At other
-    p != q it is the least of
-    - the (2,2) anchor ||I||_{p->2} sigma_max ||I||_{2->q};
-    - the Hoelder forms ||(||col_j||_q)_j||_{p*} and ||(||row_i||_{p*})_i||_q, from
-      ||Sx||_q <= sum_j |x_j| ||col_j||_q and |(Sx)_i| <= ||row_i||_{p*} ||x||_p;
-      at p = 1 the first, and at q = inf the second, is the exact branch;
-    - at p = 2 < q, Riesz-Thorin on the segment from (2,2) to (2,inf),
-      sigma_max^(2/q) ||S||_{2->inf}^(1-2/q), valid for complex scalars;
-    - at p < q, Riesz-Thorin on the segment from the (1,1) corner to the
-      (pt,inf) edge through (p,q), ||S||_{1->1}^(1/q) ||S||_{pt->inf}^(1-1/q)
-      with 1/pt = (1/p - 1/q) / (1 - 1/q), both ends exact branches.
+    rounded outward. Everywhere else three rules give bounds, and the
+    bound is the least of them:
+    - segments, at p <= q: Riesz-Thorin (valid for complex scalars) on the
+      segment in the (1/p, 1/q) square from an anchor on the diagonal
+      through (1/p, 1/q) to the first exact edge it meets, p = 1 or
+      q = inf. The anchor is (2,2) with sigma_max; at p < q also the
+      (1,1) corner with ||S||_{1->1} and the (inf,inf) corner with
+      ||S||_{inf->inf}. At p = q the (2,2) segment alone, which ends at
+      the (1,1) corner for p < 2 and at the (inf,inf) corner for p > 2;
+      at p = 2 < q it ends at (2,inf); from (1,1) it ends at (pt,inf)
+      with 1/pt = (1/p - 1/q) / (1 - 1/q);
+    - the embedding anchor, at p != q: ||I||_{p->2} sigma_max ||I||_{2->q};
+    - the Hoelder forms, at p != q: ||(||col_j||_q)_j||_{p*} and
+      ||(||row_i||_{p*})_i||_q, from ||Sx||_q <= sum_j |x_j| ||col_j||_q
+      and |(Sx)_i| <= ||row_i||_{p*} ||x||_p; at p = 1 the first, and at
+      q = inf the second, is the exact branch.
+    Each rule maps to itself under the duality (S, p, q) -> (S^T, q*, p*),
+    which swaps the two corners, the two exact edges and the two Hoelder
+    forms, so the bound is self-dual up to rounding.
     """
     return opnorm_uppers(S, [(p, q)])[0]

@@ -721,7 +721,13 @@ def _hoelder_test_matrices(seed):
         yield np.full(shape, rng.standard_normal())
 
 
-@pytest.mark.parametrize("p, q", MIXED_PAIRS)
+# interior p < q pairs whose (2,2) segment leaves the square through the
+# p = 1 edge, (1.25,1.5), (4/3,2) and (1.5,2.5), or through the q = inf
+# edge, (3,5)
+SEGMENT_PAIRS = [(1.25, 1.5), (4 / 3, 2.0), (1.5, 2.5), (3.0, 5.0)]
+
+
+@pytest.mark.parametrize("p, q", [*MIXED_PAIRS, *SEGMENT_PAIRS])
 def test_opnorm_upper_dominates_a_strong_search(p, q, monkeypatch):
     monkeypatch.setattr(norms, "MAX_ITER", 2000)
     cfg = SearchConfig(multistarts=64, seed=5)
@@ -730,7 +736,7 @@ def test_opnorm_upper_dominates_a_strong_search(p, q, monkeypatch):
         assert opnorm_upper(S, p, q) >= lower * (1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("p, q", MIXED_PAIRS)
+@pytest.mark.parametrize("p, q", [*MIXED_PAIRS, *SEGMENT_PAIRS])
 def test_opnorm_upper_dominates_the_grid_oracle(p, q):
     for S in _upper_test_matrices(12):
         if S.shape[1] <= 4:
@@ -796,22 +802,28 @@ def _opnorm_upper_with_the_old_anchors(S, p, q) -> float:
     return min(bounds)
 
 
-def _opnorm_upper_without_the_corner_segment(S, p, q) -> float:
-    """`opnorm_upper` at 1 < p < q < inf from its other bounds alone: the
-    (2,2) anchor, the two Hoelder forms and, at p = 2, the segment to
-    (2,inf), written out from sigma_max and per-row `vector_norm`s."""
+def _opnorm_upper_without_the_corner_segments(S, p, q) -> float:
+    """`opnorm_upper` at 1 < p < q < inf from its bounds other than the
+    segments from the (1,1) and (inf,inf) corners: the (2,2) anchor, the two
+    Hoelder forms and the segment from (2,2), written out from sigma_max and
+    per-row `vector_norm`s."""
     m, n = S.shape
     sigma = float(np.linalg.svd(S, compute_uv=False)[0])
     col_q = [vector_norm(col, q) for col in S.T]
     row_pstar = [vector_norm(row, conjugate_exponent(p)) for row in S]
-    bounds = [
+
+    def from_one(r):
+        return max(vector_norm(col, r) for col in S.T)
+
+    def to_inf(r):
+        return max(vector_norm(row, conjugate_exponent(r)) for row in S)
+
+    return min(
         _emb(n, p, 2.0) * sigma * _emb(m, 2.0, q),
         vector_norm(col_q, conjugate_exponent(p)),
         vector_norm(row_pstar, q),
-    ]
-    if p == 2.0:
-        bounds.append(sigma ** (2.0 / q) * max(row_pstar) ** (1.0 - 2.0 / q))
-    return min(bounds)
+        norms._segment_bound(sigma, 0.5, p, q, from_one, to_inf),
+    )
 
 
 HOELDER_PAIRS = [*MIXED_PAIRS, (1.25, 1.5), (1.1, 7.0)]
@@ -834,36 +846,52 @@ def test_the_hoelder_forms_lower_the_bound_on_rank_one_plus_noise():
     assert sum(lower) > len(lower) / 2, lower
 
 
+def test_opnorm_upper_is_self_dual():
+    # ||S||_{p->q} = ||S^T||_{q*->p*}, and each rule of the bound maps to
+    # itself under (S, p, q) -> (S^T, q*, p*): only the rounding differs
+    dual = [(conjugate_exponent(q), conjugate_exponent(p)) for p, q in HOELDER_PAIRS]
+    for S in _upper_test_matrices(26):
+        for p, q in [*HOELDER_PAIRS, *dual]:
+            transposed = opnorm_upper(S.T, conjugate_exponent(q), conjugate_exponent(p))
+            assert opnorm_upper(S, p, q) == pytest.approx(transposed, rel=1e-14), (S.shape, p, q)
+
+
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (2.0, 3.0), (2.0, 4.0)])
 def test_opnorm_upper_corner_segment_lies_between_a_search_and_the_other_anchors(p, q, monkeypatch):
-    # the segment from the (1,1) corner to the (pt,inf) edge can only lower
-    # the bound, and never below a lower bound
+    # the segments from the (1,1) and (inf,inf) corners to the exact edges
+    # can only lower the bound, and never below a lower bound
     monkeypatch.setattr(norms, "MAX_ITER", 500)
     cfg = SearchConfig(multistarts=16, seed=6)
     for S in _upper_test_matrices(15):
         upper = opnorm_upper(S, p, q)
-        assert opnorm(S, p, q, cfg).value * (1.0 - 1e-12) <= upper <= _opnorm_upper_without_the_corner_segment(S, p, q)
+        assert opnorm(S, p, q, cfg).value * (1.0 - 1e-12) <= upper <= _opnorm_upper_without_the_corner_segments(S, p, q)
 
 
 def test_opnorm_upper_corner_segment_is_the_least_bound():
-    # on the identity at (1.25,1.5) the segment reads the norm, 1, and each
-    # other bound reads 4^(1/6) or more
-    assert opnorm_upper(np.eye(4), 1.25, 1.5) == 1.0 < _opnorm_upper_without_the_corner_segment(np.eye(4), 1.25, 1.5)
+    # on the identity at (1.25,1.5) the (2,2) segment reads the norm, 1, as
+    # the corner segments do, where every other bound reads 4^(1/6) or more
+    assert opnorm_upper(np.eye(4), 1.25, 1.5) == _opnorm_upper_without_the_corner_segments(np.eye(4), 1.25, 1.5) == 1.0
     # the truncated Hilbert-type matrix at n = 128 (multiplier_norms no
-    # longer searches that witness; the bench's floor check still builds it)
+    # longer searches that witness; the bench's floor check still builds it):
+    # the (1,1) corner is least at (2,4), and on the transpose the
+    # (inf,inf) corner is least at the dual pair (4/3,2)
     n = 128
     S = schur.standard_truncation_mask(n, n, n) * schur.hilbert_type_witness(n, n)
-    assert opnorm_upper(S, 2.0, 4.0) / _opnorm_upper_without_the_corner_segment(S, 2.0, 4.0) == pytest.approx(
-        0.977, abs=1e-3
-    )
+    for S, p, q in ((S, 2.0, 4.0), (S.T, 4 / 3, 2.0)):
+        assert opnorm_upper(S, p, q) / _opnorm_upper_without_the_corner_segments(S, p, q) == pytest.approx(
+            0.977, abs=1e-3
+        )
 
 
-# values of the parent implementation, l_p -> l_p on two seeded complex matrices
+# values of the parent implementation, l_p -> l_p on two seeded complex
+# matrices; the (2,2) segment ends at the (1,1) corner at 1.25 and at the
+# (inf,inf) corner at 5 and 50, past p = 4, where its weight 1 - 2/p rounds
+P_EQUALS_Q_EXPONENTS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 50.0, INF)
 P_EQUALS_Q_PINS = {
-    (4, 4): ["0x1.8d73af94fa8a1p+2", "0x1.5556d1e38f866p+2", "0x1.3c53d232fa261p+2",
-             "0x1.78685a3f71c91p+2", "0x1.0a7bf81d6a7c0p+3"],
-    (3, 5): ["0x1.ff2a218d74cc0p+1", "0x1.ddf04083469ecp+1", "0x1.ce24f2ce6877bp+1",
-             "0x1.2179e65687838p+2", "0x1.c64cebf424b1ep+2"],
+    (4, 4): ["0x1.8d73af94fa8a1p+2", "0x1.6ac3dcc9a8fd6p+2", "0x1.5556d1e38f866p+2", "0x1.3c53d232fa261p+2",
+             "0x1.78685a3f71c91p+2", "0x1.b096d58cafadcp+2", "0x1.04fb25c24c7b0p+3", "0x1.0a7bf81d6a7c0p+3"],
+    (3, 5): ["0x1.ff2a218d74cc0p+1", "0x1.eaf6298d78665p+1", "0x1.ddf04083469ecp+1", "0x1.ce24f2ce6877bp+1",
+             "0x1.2179e65687838p+2", "0x1.5aa93662fdaa5p+2", "0x1.ba2e26bc24f4fp+2", "0x1.c64cebf424b1ep+2"],
 }
 
 
@@ -873,18 +901,19 @@ def test_opnorm_upper_at_p_equals_q_is_pinned():
     rng = np.random.default_rng(21)
     for shape, pins in P_EQUALS_Q_PINS.items():
         S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = [opnorm_upper(S, p, p) for p in (1.0, 1.5, 2.0, 3.0, INF)]
+        got = [opnorm_upper(S, p, p) for p in P_EQUALS_Q_EXPONENTS]
         assert got == [float.fromhex(h) for h in pins]
 
 
 # values of the per-pair implementation on the matrices above, one branch of
 # `opnorm_upper` each off the diagonal: p = 1, q = inf, p < q (at p = 2 too),
-# and p > q
+# and p > q; the (1.5,3) values are those of the segment from (2,2), which
+# lies below every other bound there
 OFF_DIAGONAL_PAIRS = [(1.0, 3.0), (1.5, INF), (1.5, 3.0), (2.0, 4.0), (2.0, 3.0), (3.0, 1.5), (4.0, 2.0)]
 OFF_DIAGONAL_PINS = {
-    (4, 4): ["0x1.4f5508d014752p+1", "0x1.a8001995c5959p+1", "0x1.0089b227f3fa8p+2", "0x1.2281f97c23e07p+2",
+    (4, 4): ["0x1.4f5508d014752p+1", "0x1.a8001995c5959p+1", "0x1.e3f58f229d434p+1", "0x1.2281f97c23e07p+2",
              "0x1.2adf06aca89a2p+2", "0x1.f6237404107a8p+2", "0x1.bf5ac2e23b44ep+2"],
-    (3, 5): ["0x1.ecefdc57a8f09p+0", "0x1.3cf933d5ee464p+1", "0x1.836c7463ccb99p+1", "0x1.b37e52075d955p+1",
+    (3, 5): ["0x1.ecefdc57a8f09p+0", "0x1.3cf933d5ee464p+1", "0x1.69ded454cff7dp+1", "0x1.b37e52075d955p+1",
              "0x1.bc33a760de251p+1", "0x1.6ae13d4b2eadfp+2", "0x1.5988922975de3p+2"],
 }
 
